@@ -575,6 +575,7 @@ func BenchmarkSimHierarchical(b *testing.B) {
 
 // BenchmarkTracerInstrumentation measures the per-access tracking cost.
 func BenchmarkTracerInstrumentation(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_, err := tracer.Trace("bench", 1, tracer.DefaultConfig(), func(p *tracer.Proc) {
 			a := p.NewArray("buf", 1024)
@@ -614,6 +615,7 @@ func BenchmarkOverlapTransformation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if run.BaseTrace() == nil || run.OverlapReal() == nil || run.OverlapIdeal() == nil {
@@ -629,6 +631,7 @@ func BenchmarkPatternAnalysis(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if pattern.Analyze(run) == nil {

@@ -81,9 +81,13 @@ func TestReductionValuesCorrect(t *testing.T) {
 	// symmetric).
 	run := traceIt(t, 4, DefaultConfig())
 	countTracked := func(rank int) (n int) {
-		for _, e := range run.Logs[rank].Events {
+		log := run.Logs[rank]
+		for id := range log.ArrayLens {
+			n += len(log.Stores[id]) + len(log.Loads[id])
+		}
+		for _, e := range log.Events {
 			switch e.Kind {
-			case tracer.EvStore, tracer.EvLoad, tracer.EvCollSend, tracer.EvCollRecv:
+			case tracer.EvCollSend, tracer.EvCollRecv:
 				n++
 			}
 		}

@@ -69,11 +69,12 @@ func TestFourCopyPasses(t *testing.T) {
 			inID = id
 		}
 	}
+	if inID < 0 {
+		t.Fatal("face-in not found")
+	}
 	loads := map[int]int{}
-	for _, e := range run.Logs[0].Events {
-		if e.Kind == tracer.EvLoad && e.Arr == inID {
-			loads[e.Idx]++
-		}
+	for _, acc := range run.Logs[0].Loads[inID] {
+		loads[int(acc.Idx)]++
 	}
 	// Phases with consumption: all but the very first.
 	phases := cfg.Iterations*cfg.Phases - 1

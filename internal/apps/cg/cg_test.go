@@ -84,10 +84,8 @@ func TestDataFlowsBetweenPartners(t *testing.T) {
 	cfg.Iterations = 2
 	run := traceIt(t, 2, cfg)
 	loads := 0
-	for _, e := range run.Logs[0].Events {
-		if e.Kind == tracer.EvLoad {
-			loads++
-		}
+	for _, col := range run.Logs[0].Loads {
+		loads += len(col)
 	}
 	if loads != cfg.VectorLen {
 		t.Fatalf("rank 0 loaded %d elements, want %d (one matvec consumes the partner vector)", loads, cfg.VectorLen)

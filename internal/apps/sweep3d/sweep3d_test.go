@@ -122,10 +122,8 @@ func TestBufferRevisits(t *testing.T) {
 	if eastID < 0 {
 		t.Fatal("outflow-east not found")
 	}
-	for _, e := range run.Logs[0].Events {
-		if e.Kind == tracer.EvStore && e.Arr == eastID {
-			stores[e.Idx]++
-		}
+	for _, acc := range run.Logs[0].Stores[eastID] {
+		stores[int(acc.Idx)]++
 	}
 	wantMin := cfg.Iterations * cfg.AccumPasses
 	for idx, n := range stores {

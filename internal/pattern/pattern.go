@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -82,48 +83,6 @@ type Analysis struct {
 	AppConsumption ConsumptionStats
 }
 
-type accessRec struct {
-	t   int64
-	idx int
-}
-
-type bufferTrack struct {
-	name      string
-	n         int
-	sendMarks []int64
-	recvMarks []int64
-	stores    []accessRec
-	loads     []accessRec
-}
-
-// collectTracks extracts per-(rank, array) communication marks and access
-// lists from the run's logs.
-func collectTracks(run *tracer.Run) [][]*bufferTrack {
-	out := make([][]*bufferTrack, run.NumRanks)
-	for rank, log := range run.Logs {
-		tracks := make([]*bufferTrack, len(log.ArrayLens))
-		for id := range tracks {
-			tracks[id] = &bufferTrack{name: log.ArrayNames[id], n: log.ArrayLens[id]}
-		}
-		for _, e := range log.Events {
-			switch e.Kind {
-			case tracer.EvSend, tracer.EvISend, tracer.EvCollSend:
-				tracks[e.Arr].sendMarks = append(tracks[e.Arr].sendMarks, e.T)
-			case tracer.EvRecv, tracer.EvRecvWait, tracer.EvCollRecv:
-				// For non-blocking receives the data becomes available
-				// at the completion wait, so that is the interval mark.
-				tracks[e.Arr].recvMarks = append(tracks[e.Arr].recvMarks, e.T)
-			case tracer.EvStore:
-				tracks[e.Arr].stores = append(tracks[e.Arr].stores, accessRec{t: e.T, idx: e.Idx})
-			case tracer.EvLoad:
-				tracks[e.Arr].loads = append(tracks[e.Arr].loads, accessRec{t: e.T, idx: e.Idx})
-			}
-		}
-		out[rank] = tracks
-	}
-	return out
-}
-
 // orderStat returns the k-th smallest value (k is 1-based) of a sorted
 // slice.
 func orderStat(sorted []float64, k int) float64 {
@@ -136,26 +95,38 @@ func orderStat(sorted []float64, k int) float64 {
 	return sorted[k-1]
 }
 
+// prodScratch holds productionIntervalStats' per-element buffers, reused
+// across intervals.
+type prodScratch struct {
+	final   []int64
+	touched []bool
+	rel     []float64
+}
+
 // productionIntervalStats computes the per-interval order statistics of
-// final-version store times. Returns ok=false when the interval has no
-// stores (nothing was produced: the interval carries no information).
-func productionIntervalStats(tk *bufferTrack, stores []accessRec, start, end int64) (first, quarter, half, whole float64, ok bool) {
+// final-version store times of an n-element buffer. Returns ok=false when
+// the interval has no stores (nothing was produced: the interval carries
+// no information).
+func productionIntervalStats(n int, stores []tracer.Access, start, end int64, sc *prodScratch) (first, quarter, half, whole float64, ok bool) {
 	if len(stores) == 0 || end <= start {
 		return 0, 0, 0, 0, false
 	}
-	final := make([]int64, tk.n)
-	touched := make([]bool, tk.n)
+	if cap(sc.final) < n {
+		sc.final, sc.touched, sc.rel = make([]int64, n), make([]bool, n), make([]float64, 0, n)
+	}
+	final, touched := sc.final[:n], sc.touched[:n]
+	clear(touched)
 	for _, a := range stores {
-		if a.idx >= 0 && a.idx < tk.n {
-			if !touched[a.idx] || a.t > final[a.idx] {
-				final[a.idx] = a.t
-				touched[a.idx] = true
+		if i := int(a.Idx); i >= 0 && i < n {
+			if !touched[i] || a.T > final[i] {
+				final[i] = a.T
+				touched[i] = true
 			}
 		}
 	}
 	l := float64(end - start)
-	rel := make([]float64, 0, tk.n)
-	for i := 0; i < tk.n; i++ {
+	rel := sc.rel[:0]
+	for i := 0; i < n; i++ {
 		if touched[i] {
 			rel = append(rel, 100*float64(final[i]-start)/l)
 		} else {
@@ -164,7 +135,6 @@ func productionIntervalStats(tk *bufferTrack, stores []accessRec, start, end int
 		}
 	}
 	sort.Float64s(rel)
-	n := len(rel)
 	first = rel[0]
 	quarter = orderStat(rel, (n+3)/4)
 	half = orderStat(rel, (n+1)/2)
@@ -175,25 +145,25 @@ func productionIntervalStats(tk *bufferTrack, stores []accessRec, start, end int
 // consumptionIntervalStats computes how far into the interval execution
 // can progress given prefixes of the message. Returns ok=false when the
 // interval has no loads at all (the buffer was not consumed).
-func consumptionIntervalStats(tk *bufferTrack, loads []accessRec, start, end int64) (nothing, quarter, half float64, ok bool) {
+func consumptionIntervalStats(n int, loads []tracer.Access, start, end int64) (nothing, quarter, half float64, ok bool) {
 	if len(loads) == 0 || end <= start {
 		return 0, 0, 0, false
 	}
 	l := float64(end - start)
-	qIdx := (tk.n + 3) / 4 // first element index beyond the first quarter
-	hIdx := (tk.n + 1) / 2
+	qIdx := int32((n + 3) / 4) // first element index beyond the first quarter
+	hIdx := int32((n + 1) / 2)
 	firstAny := int64(math.MaxInt64)
 	firstBeyondQ := int64(math.MaxInt64)
 	firstBeyondH := int64(math.MaxInt64)
 	for _, a := range loads {
-		if a.t < firstAny {
-			firstAny = a.t
+		if a.T < firstAny {
+			firstAny = a.T
 		}
-		if a.idx >= qIdx && a.t < firstBeyondQ {
-			firstBeyondQ = a.t
+		if a.Idx >= qIdx && a.T < firstBeyondQ {
+			firstBeyondQ = a.T
 		}
-		if a.idx >= hIdx && a.t < firstBeyondH {
-			firstBeyondH = a.t
+		if a.Idx >= hIdx && a.T < firstBeyondH {
+			firstBeyondH = a.T
 		}
 	}
 	toPct := func(t int64) float64 {
@@ -256,6 +226,20 @@ func (a *accum) consStats() ConsumptionStats {
 	return s
 }
 
+// window splits a time-ordered access column at an interval (start, end]:
+// in holds the accesses inside it and rest those after end.
+func window(col []tracer.Access, start, end int64) (in, rest []tracer.Access) {
+	i := 0
+	for i < len(col) && col[i].T <= start {
+		i++
+	}
+	k := i
+	for k < len(col) && col[k].T <= end {
+		k++
+	}
+	return col[i:k], col[k:]
+}
+
 // Analyze computes the Table II statistics for one traced run.
 func Analyze(run *tracer.Run) *Analysis {
 	an := &Analysis{
@@ -266,52 +250,40 @@ func Analyze(run *tracer.Run) *Analysis {
 	prodAcc := map[string]*accum{}
 	consAcc := map[string]*accum{}
 	var appProd, appCons accum
-	for _, tracks := range collectTracks(run) {
-		for _, tk := range tracks {
-			// Production intervals: between consecutive sends.
-			si := 0
-			for j := 1; j < len(tk.sendMarks); j++ {
-				start, end := tk.sendMarks[j-1], tk.sendMarks[j]
-				var stores []accessRec
-				for si < len(tk.stores) && tk.stores[si].t <= start {
-					si++
-				}
-				k := si
-				for k < len(tk.stores) && tk.stores[k].t <= end {
-					stores = append(stores, tk.stores[k])
-					k++
-				}
-				if f, q, h, w, ok := productionIntervalStats(tk, stores, start, end); ok {
-					acc := prodAcc[tk.name]
+	var scratch prodScratch
+	for _, log := range run.Logs {
+		sendMarks, recvMarks := log.IntervalMarks()
+		for id, name := range log.ArrayNames {
+			n := log.ArrayLens[id]
+			// Production intervals: between consecutive sends. The
+			// columns are in time order, so each interval is a subslice.
+			stores, marks := log.Stores[id], sendMarks[id]
+			for j := 1; j < len(marks); j++ {
+				var in []tracer.Access
+				in, stores = window(stores, marks[j-1], marks[j])
+				if f, q, h, w, ok := productionIntervalStats(n, in, marks[j-1], marks[j], &scratch); ok {
+					acc := prodAcc[name]
 					if acc == nil {
 						acc = &accum{}
-						prodAcc[tk.name] = acc
+						prodAcc[name] = acc
 					}
-					acc.addProd(f, q, h, w, tk.n > 1)
-					appProd.addProd(f, q, h, w, tk.n > 1)
+					acc.addProd(f, q, h, w, n > 1)
+					appProd.addProd(f, q, h, w, n > 1)
 				}
 			}
 			// Consumption intervals: between consecutive receives.
-			li := 0
-			for j := 0; j+1 < len(tk.recvMarks); j++ {
-				start, end := tk.recvMarks[j], tk.recvMarks[j+1]
-				var loads []accessRec
-				for li < len(tk.loads) && tk.loads[li].t <= start {
-					li++
-				}
-				k := li
-				for k < len(tk.loads) && tk.loads[k].t <= end {
-					loads = append(loads, tk.loads[k])
-					k++
-				}
-				if nth, q, h, ok := consumptionIntervalStats(tk, loads, start, end); ok {
-					acc := consAcc[tk.name]
+			loads, marks := log.Loads[id], recvMarks[id]
+			for j := 0; j+1 < len(marks); j++ {
+				var in []tracer.Access
+				in, loads = window(loads, marks[j], marks[j+1])
+				if nth, q, h, ok := consumptionIntervalStats(n, in, marks[j], marks[j+1]); ok {
+					acc := consAcc[name]
 					if acc == nil {
 						acc = &accum{}
-						consAcc[tk.name] = acc
+						consAcc[name] = acc
 					}
-					acc.addProd(nth, q, h, 0, tk.n > 1)
-					appCons.addProd(nth, q, h, 0, tk.n > 1)
+					acc.addProd(nth, q, h, 0, n > 1)
+					appCons.addProd(nth, q, h, 0, n > 1)
 				}
 			}
 		}
@@ -356,54 +328,38 @@ func ScatterFor(run *tracer.Run, bufferName string, rank int, side Side) *Scatte
 	if rank < 0 || rank >= run.NumRanks {
 		return nil
 	}
-	tracks := collectTracks(run)[rank]
-	var tk *bufferTrack
-	for _, cand := range tracks {
-		if cand.name == bufferName {
-			tk = cand
-			break
-		}
-	}
-	if tk == nil {
+	log := run.Logs[rank]
+	id := slices.Index(log.ArrayNames, bufferName)
+	if id < 0 {
 		return nil
 	}
-	sc := &Scatter{App: run.Name, Buffer: bufferName, Side: side, BufferLen: tk.n}
-	var marks []int64
-	var accesses []accessRec
-	if side == Production {
-		marks, accesses = tk.sendMarks, tk.stores
-	} else {
-		marks, accesses = tk.recvMarks, tk.loads
+	sc := &Scatter{App: run.Name, Buffer: bufferName, Side: side, BufferLen: log.ArrayLens[id]}
+	sendMarks, recvMarks := log.IntervalMarks()
+	// Production intervals run from one send to the next; consumption
+	// intervals from one receive to the next. Both walk the time-ordered
+	// column once.
+	marks, accesses := sendMarks[id], log.Stores[id]
+	if side == Consumption {
+		marks, accesses = recvMarks[id], log.Loads[id]
 	}
-	if side == Production {
-		for j := 1; j < len(marks); j++ {
-			sc.appendInterval(accesses, marks[j-1], marks[j])
+	for j := 0; j+1 < len(marks); j++ {
+		start, end := marks[j], marks[j+1]
+		if end <= start {
+			continue
 		}
-	} else {
-		for j := 0; j+1 < len(marks); j++ {
-			sc.appendInterval(accesses, marks[j], marks[j+1])
+		var in []tracer.Access
+		in, accesses = window(accesses, start, end)
+		for _, a := range in {
+			sc.Points = append(sc.Points, Point{
+				RelT: float64(a.T-start) / float64(end-start),
+				Elem: int(a.Idx),
+			})
+		}
+		if len(in) > 0 {
+			sc.Intervals++
 		}
 	}
 	return sc
-}
-
-func (sc *Scatter) appendInterval(accesses []accessRec, start, end int64) {
-	if end <= start {
-		return
-	}
-	added := false
-	for _, a := range accesses {
-		if a.t > start && a.t <= end {
-			sc.Points = append(sc.Points, Point{
-				RelT: float64(a.t-start) / float64(end-start),
-				Elem: a.idx,
-			})
-			added = true
-		}
-	}
-	if added {
-		sc.Intervals++
-	}
 }
 
 // WriteCSV emits "rel_time,element" rows.

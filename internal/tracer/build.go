@@ -1,12 +1,15 @@
 package tracer
 
 import (
+	"cmp"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/trace"
 )
 
-// This file turns a Run's event logs into the three Dimemas-style traces:
+// This file turns a Run's logs into the three Dimemas-style traces:
 //
 //   - BaseTrace: the original execution — compute bursts between MPI events
 //     plus blocking Send/Recv records, exactly what the legacy code did.
@@ -150,11 +153,6 @@ type synthOp struct {
 	rec   trace.Record
 }
 
-// irecvSpec is one chunk IRecv to insert at a replaced receive event.
-type irecvSpec struct {
-	rec trace.Record
-}
-
 func (r *Run) buildOverlap(flavor string, idealFor func(bufferName string) bool) *trace.Trace {
 	tr := trace.New(r.Name, flavor, r.NumRanks)
 	for rank, log := range r.Logs {
@@ -166,14 +164,10 @@ func (r *Run) buildOverlap(flavor string, idealFor func(bufferName string) bool)
 func (r *Run) buildRankOverlap(tr *trace.Trace, rank int, log *Log, idealFor func(string) bool) {
 	events := log.Events
 
-	// Pass 0: index per-array send/receive event positions, per-array
-	// access lists, and the positions of all comm events (for the ideal
-	// variant's burst boundaries).
-	type access struct {
-		evIdx int
-		t     int64
-		idx   int
-	}
+	// Pass 0: index per-array send/receive event positions and the
+	// times of all comm events (for the ideal variant's burst
+	// boundaries). Events hold only communication, a few entries per
+	// message; the access columns are walked in place by pass 1.
 	nArr := len(log.ArrayLens)
 	// A receive instance pairs the posting event with the event at which
 	// the data became available on the rank: for blocking receives both
@@ -184,8 +178,6 @@ func (r *Run) buildRankOverlap(tr *trace.Trace, rank int, log *Log, idealFor fun
 	}
 	sendsOf := make([][]int, nArr) // EvSend/EvISend event indices per array
 	recvsOf := make([][]recvInst, nArr)
-	storesOf := make([][]access, nArr)
-	loadsOf := make([][]access, nArr)
 	pendingWait := map[int]int{} // tracked irecv handle -> recvsOf position (by array)
 	pendingArr := map[int]int{}  // tracked irecv handle -> array id
 	var commTimes []int64        // times of all comm events in program order
@@ -213,10 +205,6 @@ func (r *Run) buildRankOverlap(tr *trace.Trace, rank int, log *Log, idealFor fun
 			commTimes = append(commTimes, e.T)
 		case EvSendRaw, EvRecvRaw:
 			commTimes = append(commTimes, e.T)
-		case EvStore:
-			storesOf[e.Arr] = append(storesOf[e.Arr], access{evIdx: i, t: e.T, idx: e.Idx})
-		case EvLoad:
-			loadsOf[e.Arr] = append(loadsOf[e.Arr], access{evIdx: i, t: e.T, idx: e.Idx})
 		}
 	}
 	// Burst boundaries for the ideal variant: the producing/consuming
@@ -255,8 +243,13 @@ func (r *Run) buildRankOverlap(tr *trace.Trace, rank int, log *Log, idealFor fun
 
 	// Pass 1: plan synthetic chunk ISends and Waits, plus the IRecv
 	// inserts at each replaced receive.
-	var synth []synthOp
-	irecvAt := map[int][]irecvSpec{} // original event index -> chunk irecvs
+	nSynth := 0
+	for a := 0; a < nArr; a++ {
+		nSynth += (len(sendsOf[a]) + len(recvsOf[a])) * r.Cfg.ChunkCount(log.ArrayLens[a])
+	}
+	synth := make([]synthOp, 0, nSynth)
+	irecvAt := make([][]trace.Record, len(events)) // original event index -> chunk irecvs
+	sched := make([]int64, r.Cfg.Chunks)           // per-chunk times of one message
 	handleCounter := 0
 	var msgSeq int64
 
@@ -264,41 +257,37 @@ func (r *Run) buildRankOverlap(tr *trace.Trace, rank int, log *Log, idealFor fun
 		n := log.ArrayLens[a]
 		k := r.Cfg.ChunkCount(n)
 		ideal := idealFor(log.ArrayNames[a])
+		stores, loads := log.Stores[a], log.Loads[a]
 
 		// Sends: chunk c leaves at its last update (real) or uniformly
 		// through the producing burst (ideal).
-		si := 0 // cursor into storesOf[a]
+		si := 0 // cursor into stores
 		for j, evIdx := range sendsOf[a] {
 			e := events[evIdx]
 			msgSeq++
 			id := msgID(rank, msgSeq) + 500_000 // offset avoids clashing with base ids
-			prevSendIdx := -1
-			if j > 0 {
-				prevSendIdx = sendsOf[a][j-1]
-			}
-			last := make([]int64, k)
-			intervalStart := int64(0)
-			if j > 0 {
-				intervalStart = events[prevSendIdx].T
-			}
-			for c := range last {
-				last[c] = intervalStart
-			}
-			for si < len(storesOf[a]) && storesOf[a][si].evIdx < evIdx {
-				acc := storesOf[a][si]
-				si++
-				if acc.evIdx <= prevSendIdx {
-					continue
-				}
-				c := ChunkOf(n, k, acc.idx)
-				if acc.t > last[c] {
-					last[c] = acc.t
-				}
-			}
+			last := sched[:k]
 			if ideal {
 				burstStart := prevCommTime(evIdx)
-				for c := 0; c < k; c++ {
+				for c := range last {
 					last[c] = burstStart + (e.T-burstStart)*int64(c+1)/int64(k)
+				}
+			} else {
+				// The production interval holds the stores since the
+				// previous send, which the cursor has already passed.
+				intervalStart := int64(0)
+				if j > 0 {
+					intervalStart = events[sendsOf[a][j-1]].T
+				}
+				for c := range last {
+					last[c] = intervalStart
+				}
+				for ; si < len(stores) && stores[si].Seq < e.Seq; si++ {
+					acc := stores[si]
+					c := ChunkOf(n, k, int(acc.Idx))
+					if acc.T > last[c] {
+						last[c] = acc.T
+					}
 				}
 			}
 			for c := 0; c < k; c++ {
@@ -317,47 +306,47 @@ func (r *Run) buildRankOverlap(tr *trace.Trace, rank int, log *Log, idealFor fun
 		// posted; chunk c's Wait sits at its first load (real) or
 		// uniformly across the consuming burst (ideal); chunks never
 		// loaded drain at the end of the consumption interval.
-		li := 0 // cursor into loadsOf[a]
+		li := 0 // cursor into loads
 		for j, inst := range recvsOf[a] {
 			post := events[inst.postIdx]
-			waitT := events[inst.waitIdx].T
+			wait := events[inst.waitIdx]
 			msgSeq++
 			id := msgID(rank, msgSeq) + 500_000
-			nextPostIdx := len(events)
-			intervalEnd := log.FinalClock
-			if j+1 < len(recvsOf[a]) {
-				nextPostIdx = recvsOf[a][j+1].postIdx
-				intervalEnd = events[nextPostIdx].T
-			}
-			first := make([]int64, k)
-			for c := range first {
-				first[c] = intervalEnd
-			}
-			for li < len(loadsOf[a]) && loadsOf[a][li].evIdx < inst.waitIdx {
-				li++ // loads before this receive belong to the previous interval
-			}
-			for li < len(loadsOf[a]) && loadsOf[a][li].evIdx < nextPostIdx {
-				acc := loadsOf[a][li]
-				li++
-				c := ChunkOf(n, k, acc.idx)
-				if acc.t < first[c] {
-					first[c] = acc.t
-				}
-			}
+			first := sched[:k]
 			if ideal {
 				burstEnd := nextCommTime(inst.waitIdx)
-				for c := 0; c < k; c++ {
-					first[c] = waitT + (burstEnd-waitT)*int64(c)/int64(k)
+				for c := range first {
+					first[c] = wait.T + (burstEnd-wait.T)*int64(c)/int64(k)
+				}
+			} else {
+				nextPostSeq := int32(math.MaxInt32)
+				intervalEnd := log.FinalClock
+				if j+1 < len(recvsOf[a]) {
+					next := events[recvsOf[a][j+1].postIdx]
+					nextPostSeq, intervalEnd = next.Seq, next.T
+				}
+				for c := range first {
+					first[c] = intervalEnd
+				}
+				for li < len(loads) && loads[li].Seq < wait.Seq {
+					li++ // loads before this receive belong to the previous interval
+				}
+				for ; li < len(loads) && loads[li].Seq < nextPostSeq; li++ {
+					acc := loads[li]
+					c := ChunkOf(n, k, int(acc.Idx))
+					if acc.T < first[c] {
+						first[c] = acc.T
+					}
 				}
 			}
-			specs := make([]irecvSpec, k)
+			specs := make([]trace.Record, k)
 			for c := 0; c < k; c++ {
 				handleCounter++
 				h := handleCounter
-				specs[c] = irecvSpec{rec: trace.Record{
+				specs[c] = trace.Record{
 					Kind: trace.KindIRecv, Peer: post.Peer, Tag: post.Tag, Chunk: c,
 					Bytes: r.Cfg.ChunkBytes(n, k, c), Handle: h, MsgID: id,
-				}}
+				}
 				synth = append(synth, synthOp{
 					t:     first[c],
 					minEv: inst.postIdx,
@@ -367,7 +356,7 @@ func (r *Run) buildRankOverlap(tr *trace.Trace, rank int, log *Log, idealFor fun
 			irecvAt[inst.postIdx] = specs
 		}
 	}
-	sort.SliceStable(synth, func(i, j int) bool { return synth[i].t < synth[j].t })
+	slices.SortStableFunc(synth, func(x, y synthOp) int { return cmp.Compare(x.t, y.t) })
 
 	// Pass 2: merge the original comm events with the synthetic schedule,
 	// splitting compute bursts at every injection point.
@@ -406,8 +395,8 @@ func (r *Run) buildRankOverlap(tr *trace.Trace, rank int, log *Log, idealFor fun
 		case EvRecv, EvIRecvPost:
 			flush(e.T, i-1)
 			emitCompute(e.T)
-			for _, spec := range irecvAt[i] {
-				tr.Append(rank, spec.rec)
+			for _, rec := range irecvAt[i] {
+				tr.Append(rank, rec)
 			}
 			flush(e.T, i)
 		case EvSendRaw:

@@ -18,13 +18,21 @@
 //     substrate, and collectives decompose into instrumented raw
 //     point-to-point transfers.
 //
-// A Run therefore holds per-rank event logs carrying exactly the
-// information the paper's tracer extracts, and the builders in build.go
-// turn those logs into the three Dimemas-style traces.
+// A Run holds one Log per rank in two parts. Log.Events lists the
+// communication events and tracked-collective markers, a few per message.
+// The element accesses, which outnumber them by orders of magnitude, are
+// kept as columns: Log.Stores[a] and Log.Loads[a] hold array a's accesses
+// in program order as 16-byte Access values. Every event and access
+// carries a Seq, its position in the rank's single program-order stream,
+// so the columns interleave with the events without being stored in one
+// list. Recording an access allocates 32 to 64 bytes, as the columns
+// double when full. The builders in build.go and the pattern
+// analyzer walk the columns with cursors instead of re-indexing them.
 package tracer
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/mpi"
@@ -76,9 +84,6 @@ const (
 	// (collective internals and scalar control traffic). Never chunked.
 	EvSendRaw
 	EvRecvRaw
-	// EvStore / EvLoad: one tracked element access.
-	EvStore
-	EvLoad
 	// EvCollSend / EvCollRecv mark a tracked array passing through a
 	// collective (contribution and result, respectively). They carry no
 	// transfer themselves — the collective's raw point-to-point events do
@@ -94,13 +99,14 @@ const (
 	EvRecvWait
 )
 
-// Event is one instrumentation record. T is the rank's virtual time, in
-// instructions, when the event occurred.
+// Event is one communication record. T is the rank's virtual time, in
+// instructions, when the event occurred; Seq is its position in the rank's
+// program-order stream of events and accesses.
 type Event struct {
 	T     int64
+	Seq   int32
 	Kind  EvKind
 	Arr   int // array id, -1 for raw transfers
-	Idx   int // element index (EvStore/EvLoad)
 	Peer  int // partner rank (comm events)
 	Tag   int
 	Elems int // element count of the transfer or marked buffer
@@ -108,7 +114,18 @@ type Event struct {
 	Handle int
 }
 
-// Log is the complete event stream of one rank.
+// Access is one tracked element access: the virtual time T after charging
+// the access cost, the element index Idx, and the access's Seq in the
+// rank's program-order stream.
+type Access struct {
+	T   int64
+	Idx int32
+	Seq int32
+}
+
+// Log is the complete instrumentation record of one rank: its
+// communication events plus per-array access columns. Within a column,
+// both T and Seq are non-decreasing (strictly, for Seq).
 type Log struct {
 	Rank       int
 	Events     []Event
@@ -117,6 +134,53 @@ type Log struct {
 	ArrayLens []int
 	// ArrayNames maps array id to the name given at NewArray.
 	ArrayNames []string
+	// Stores and Loads map array id to that array's store and load
+	// accesses in program order.
+	Stores, Loads [][]Access
+}
+
+// IntervalMarks returns, per array id, the virtual times that delimit the
+// array's production and consumption intervals (Section V.A of the paper),
+// in program order. sends marks each hand-off of the array to the network:
+// Send, Isend and a tracked collective's contribution. recvs marks each
+// time received data became available: Recv, the Wait of an Irecv and a
+// tracked collective's result.
+func (l *Log) IntervalMarks() (sends, recvs [][]int64) {
+	nArr := len(l.ArrayLens)
+	nSend, nRecv := make([]int, nArr), make([]int, nArr)
+	for _, e := range l.Events {
+		switch e.Kind {
+		case EvSend, EvISend, EvCollSend:
+			nSend[e.Arr]++
+		case EvRecv, EvRecvWait, EvCollRecv:
+			nRecv[e.Arr]++
+		}
+	}
+	sends, recvs = carve(nSend), carve(nRecv)
+	for _, e := range l.Events {
+		switch e.Kind {
+		case EvSend, EvISend, EvCollSend:
+			sends[e.Arr] = append(sends[e.Arr], e.T)
+		case EvRecv, EvRecvWait, EvCollRecv:
+			recvs[e.Arr] = append(recvs[e.Arr], e.T)
+		}
+	}
+	return sends, recvs
+}
+
+// carve returns empty slices with capacities counts, sharing one backing
+// array.
+func carve(counts []int) [][]int64 {
+	total := 0
+	for _, c := range counts {
+		total += c
+	}
+	backing := make([]int64, total)
+	out := make([][]int64, len(counts))
+	for i, c := range counts {
+		out[i], backing = backing[:0:c], backing[c:]
+	}
+	return out
 }
 
 // Run is the output of tracing one application execution.
@@ -161,14 +225,17 @@ type Proc struct {
 	mp       *mpi.Proc
 	cfg      Config
 	clock    int64
+	seq      int32 // next program-order position
 	events   []Event
 	arrays   []*Array
-	seq      int // collective sequence counter
+	collSeq  int // collective sequence counter
 	irecvSeq int // tracked non-blocking receive handles
 }
 
 // Trace executes app once per rank under instrumentation and returns the
-// collected run.
+// collected run. A rank that records more than math.MaxInt32 events and
+// accesses, or allocates an Array of more than math.MaxInt32 elements,
+// fails the trace with an error.
 func Trace(name string, ranks int, cfg Config, app func(p *Proc)) (*Run, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -184,10 +251,14 @@ func Trace(name string, ranks int, cfg Config, app func(p *Proc)) (*Run, error) 
 			FinalClock: p.clock,
 			ArrayLens:  make([]int, len(p.arrays)),
 			ArrayNames: make([]string, len(p.arrays)),
+			Stores:     make([][]Access, len(p.arrays)),
+			Loads:      make([][]Access, len(p.arrays)),
 		}
 		for i, a := range p.arrays {
 			log.ArrayLens[i] = len(a.data)
 			log.ArrayNames[i] = a.name
+			log.Stores[i] = a.stores
+			log.Loads[i] = a.loads
 		}
 		mu.Lock()
 		run.Logs[mp.Rank()] = log
@@ -216,9 +287,30 @@ func (p *Proc) Compute(n int64) {
 	}
 }
 
+// nextSeq hands out the next program-order position.
+func (p *Proc) nextSeq() int32 {
+	if p.seq == math.MaxInt32 {
+		panic(fmt.Sprintf("tracer: rank %d recorded more than %d events and accesses", p.Rank(), math.MaxInt32))
+	}
+	s := p.seq
+	p.seq++
+	return s
+}
+
 func (p *Proc) record(e Event) {
 	e.T = p.clock
+	e.Seq = p.nextSeq()
 	p.events = append(p.events, e)
+}
+
+// access appends element i's access at the current clock to col. Columns
+// double when full, so an access allocates 32 to 64 bytes amortized where
+// append's 1.25x growth of large slices would cost about 80.
+func (p *Proc) access(col []Access, i int) []Access {
+	if len(col) == cap(col) {
+		col = append(make([]Access, 0, max(2*cap(col), 32)), col...)
+	}
+	return append(col, Access{T: p.clock, Idx: int32(i), Seq: p.nextSeq()})
 }
 
 // ---------------------------------------------------------------------------
@@ -228,14 +320,20 @@ func (p *Proc) record(e Event) {
 // with its virtual time, exactly the information the paper's tracer
 // extracts by intercepting memory accesses.
 type Array struct {
-	p    *Proc
-	id   int
-	name string
-	data []float64
+	p      *Proc
+	id     int
+	name   string
+	data   []float64
+	stores []Access
+	loads  []Access
 }
 
-// NewArray allocates a tracked buffer of n elements.
+// NewArray allocates a tracked buffer of n elements. More than
+// math.MaxInt32 elements fails the trace before anything is allocated.
 func (p *Proc) NewArray(name string, n int) *Array {
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("tracer: array %q has %d elements, more than %d", name, n, math.MaxInt32))
+	}
 	a := &Array{p: p, id: len(p.arrays), name: name, data: make([]float64, n)}
 	p.arrays = append(p.arrays, a)
 	return a
@@ -250,17 +348,18 @@ func (a *Array) Name() string { return a.name }
 // Load reads element i, recording the access and charging LoadCost
 // instructions.
 func (a *Array) Load(i int) float64 {
+	v := a.data[i]
 	a.p.clock += a.p.cfg.LoadCost
-	a.p.record(Event{Kind: EvLoad, Arr: a.id, Idx: i})
-	return a.data[i]
+	a.loads = a.p.access(a.loads, i)
+	return v
 }
 
 // Store writes element i, recording the access and charging StoreCost
 // instructions.
 func (a *Array) Store(i int, v float64) {
-	a.p.clock += a.p.cfg.StoreCost
-	a.p.record(Event{Kind: EvStore, Arr: a.id, Idx: i})
 	a.data[i] = v
+	a.p.clock += a.p.cfg.StoreCost
+	a.stores = a.p.access(a.stores, i)
 }
 
 // Data exposes the raw storage without instrumentation. Use it only for
@@ -348,45 +447,45 @@ func (r rawAdapter) Recv(buf []float64, src, tag int)  { r.p.RecvRaw(buf, src, t
 
 var _ mpi.PointToPoint = rawAdapter{}
 
-func (p *Proc) nextSeq() int {
-	s := p.seq
-	p.seq += 2
+func (p *Proc) nextCollSeq() int {
+	s := p.collSeq
+	p.collSeq += 2
 	return s
 }
 
 // Barrier blocks until all ranks reach it; the dissemination exchanges are
 // traced as raw transfers.
-func (p *Proc) Barrier() { mpi.Barrier(rawAdapter{p}, p.nextSeq()) }
+func (p *Proc) Barrier() { mpi.Barrier(rawAdapter{p}, p.nextCollSeq()) }
 
 // Bcast broadcasts buf from root through instrumented transfers.
-func (p *Proc) Bcast(buf []float64, root int) { mpi.Bcast(rawAdapter{p}, buf, root, p.nextSeq()) }
+func (p *Proc) Bcast(buf []float64, root int) { mpi.Bcast(rawAdapter{p}, buf, root, p.nextCollSeq()) }
 
 // Reduce reduces into out on root through instrumented transfers.
 func (p *Proc) Reduce(buf, out []float64, op mpi.Op, root int) {
-	mpi.Reduce(rawAdapter{p}, buf, out, op, root, p.nextSeq())
+	mpi.Reduce(rawAdapter{p}, buf, out, op, root, p.nextCollSeq())
 }
 
 // Allreduce reduces into out on all ranks through instrumented transfers.
 func (p *Proc) Allreduce(buf, out []float64, op mpi.Op) {
-	mpi.Allreduce(rawAdapter{p}, buf, out, op, p.nextSeq())
+	mpi.Allreduce(rawAdapter{p}, buf, out, op, p.nextCollSeq())
 }
 
 // Gather gathers into out on root through instrumented transfers.
 func (p *Proc) Gather(buf, out []float64, root int) {
-	mpi.Gather(rawAdapter{p}, buf, out, root, p.nextSeq())
+	mpi.Gather(rawAdapter{p}, buf, out, root, p.nextCollSeq())
 }
 
 // Allgather gathers into out on all ranks through instrumented transfers.
-func (p *Proc) Allgather(buf, out []float64) { mpi.Allgather(rawAdapter{p}, buf, out, p.nextSeq()) }
+func (p *Proc) Allgather(buf, out []float64) { mpi.Allgather(rawAdapter{p}, buf, out, p.nextCollSeq()) }
 
 // Alltoall exchanges personalized blocks through instrumented transfers.
 func (p *Proc) Alltoall(buf, out []float64, m int) {
-	mpi.Alltoall(rawAdapter{p}, buf, out, m, p.nextSeq())
+	mpi.Alltoall(rawAdapter{p}, buf, out, m, p.nextCollSeq())
 }
 
 // ReduceScatter reduces and scatters through instrumented transfers.
 func (p *Proc) ReduceScatter(buf, out []float64, op mpi.Op) {
-	mpi.ReduceScatter(rawAdapter{p}, buf, out, op, p.nextSeq())
+	mpi.ReduceScatter(rawAdapter{p}, buf, out, op, p.nextCollSeq())
 }
 
 // AllreduceTracked performs an Allreduce whose contribution and result
@@ -397,7 +496,7 @@ func (p *Proc) ReduceScatter(buf, out []float64, op mpi.Op) {
 func (p *Proc) AllreduceTracked(in, out *Array, op mpi.Op) {
 	p.record(Event{Kind: EvCollSend, Arr: in.id, Peer: -1, Elems: len(in.data)})
 	p.record(Event{Kind: EvCollRecv, Arr: out.id, Peer: -1, Elems: len(out.data)})
-	mpi.Allreduce(rawAdapter{p}, in.data, out.data, op, p.nextSeq())
+	mpi.Allreduce(rawAdapter{p}, in.data, out.data, op, p.nextCollSeq())
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 package tracer
 
 import (
+	"math"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -112,18 +115,99 @@ func TestEventLogRecordsAccesses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs := run.Logs[0].Events
-	if len(evs) != 2 {
-		t.Fatalf("events=%d, want 2", len(evs))
+	log := run.Logs[0]
+	if len(log.Events) != 0 {
+		t.Fatalf("events=%d, want 0: accesses live in the columns", len(log.Events))
 	}
-	if evs[0].Kind != EvStore || evs[0].Idx != 2 || evs[0].T != 11 {
-		t.Errorf("store event: %+v", evs[0])
+	st, ld := log.Stores[0], log.Loads[0]
+	if len(st)+len(ld) != 2 || len(st) != 1 {
+		t.Fatalf("stores=%d loads=%d, want 1 and 1", len(st), len(ld))
 	}
-	if evs[1].Kind != EvLoad || evs[1].Idx != 2 || evs[1].T != 12 {
-		t.Errorf("load event: %+v", evs[1])
+	if st[0].Idx != 2 || st[0].T != 11 {
+		t.Errorf("store access: %+v", st[0])
 	}
-	if run.Logs[0].ArrayNames[0] != "buf" || run.Logs[0].ArrayLens[0] != 4 {
-		t.Errorf("array metadata: %+v", run.Logs[0])
+	if ld[0].Idx != 2 || ld[0].T != 12 {
+		t.Errorf("load access: %+v", ld[0])
+	}
+	if st[0].Seq >= ld[0].Seq {
+		t.Errorf("store Seq %d not before load Seq %d", st[0].Seq, ld[0].Seq)
+	}
+	if log.ArrayNames[0] != "buf" || log.ArrayLens[0] != 4 {
+		t.Errorf("array metadata: %+v", log)
+	}
+}
+
+func TestSeqOrdersEventsAndAccesses(t *testing.T) {
+	run, err := Trace("seq", 2, DefaultConfig(), func(p *Proc) {
+		a := p.NewArray("msg", 3)
+		if p.Rank() == 0 {
+			a.Store(0, 1)
+			p.Send(1, 0, a)
+			a.Store(1, 2)
+		} else {
+			p.Recv(a, 0, 0)
+			_ = a.Load(0)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l0, l1 := run.Logs[0], run.Logs[1]
+	if got := []int32{l0.Stores[0][0].Seq, l0.Events[0].Seq, l0.Stores[0][1].Seq}; got[0] != 0 || got[1] != 1 || got[2] != 2 {
+		t.Errorf("rank 0 store/send/store Seqs = %v, want [0 1 2]", got)
+	}
+	if got := []int32{l1.Events[0].Seq, l1.Loads[0][0].Seq}; got[0] != 0 || got[1] != 1 {
+		t.Errorf("rank 1 recv/load Seqs = %v, want [0 1]", got)
+	}
+}
+
+func TestOversizedArrayFailsTrace(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Trace("huge", 1, DefaultConfig(), func(p *Proc) {
+		p.NewArray("huge", math.MaxInt32+1)
+	})
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "more than 2147483647") {
+		t.Fatalf("err = %v, want the element-count limit", err)
+	}
+	// The 16 GiB buffer must be refused before it is allocated.
+	if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+		t.Fatalf("allocated %d bytes before refusing the array", d)
+	}
+}
+
+// TestTraceAllocationPerAccess pins the tracer's allocation per tracked
+// access, so a per-access record wider than the 16-byte column entry (or
+// a growth policy that regrows it more often) shows up as a failure.
+func TestTraceAllocationPerAccess(t *testing.T) {
+	const n, passes = 1024, 512 // 2*n*passes = 1,048,576 accesses
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	run, err := Trace("alloc", 1, DefaultConfig(), func(p *Proc) {
+		a := p.NewArray("buf", n)
+		for it := 0; it < passes; it++ {
+			for i := 0; i < n; i++ {
+				a.Store(i, float64(i))
+			}
+			for i := 0; i < n; i++ {
+				_ = a.Load(i)
+			}
+		}
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	accesses := len(run.Logs[0].Stores[0]) + len(run.Logs[0].Loads[0])
+	if accesses != 2*n*passes {
+		t.Fatalf("recorded %d accesses, want %d", accesses, 2*n*passes)
+	}
+	perAccess := float64(after.TotalAlloc-before.TotalAlloc) / float64(accesses)
+	t.Logf("%.1f B allocated per tracked access", perAccess)
+	if perAccess > 100 {
+		t.Fatalf("%.1f B allocated per tracked access, want <= 100", perAccess)
 	}
 }
 
