@@ -2,6 +2,7 @@ package pattern
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -234,6 +235,75 @@ func TestScatterConsumption(t *testing.T) {
 	}
 	if sc.Side != Consumption || sc.Side.String() != "consumption" {
 		t.Fatal("side metadata wrong")
+	}
+}
+
+// TestScatterMatchesPerIntervalScan checks ScatterFor's single cursor
+// against the definition: for each interval, every access of the buffer
+// with a time in (start, end], in program order. The kernel revisits
+// elements, leaves some intervals without accesses and sends twice at one
+// instant, which yields an empty interval.
+func TestScatterMatchesPerIntervalScan(t *testing.T) {
+	const n = 12
+	run := mustTrace(t, "revisit", 2, func(p *tracer.Proc) {
+		buf := p.NewArray("buf", n)
+		for it := 0; it < 6; it++ {
+			if p.Rank() == 0 {
+				for i := 0; i < n*(it%3); i++ {
+					p.Compute(int64(1 + (i*7)%5))
+					buf.Store((i*5)%n, float64(i))
+				}
+				p.Send(1, 0, buf)
+				if it == 2 {
+					p.Send(1, 1, buf)
+				}
+			} else {
+				p.Recv(buf, 0, 0)
+				if it == 2 {
+					p.Recv(buf, 0, 1)
+				}
+				for i := 0; i < n*(it%2); i++ {
+					p.Compute(3)
+					_ = buf.Load((i * 7) % n)
+				}
+			}
+		}
+	})
+	for rank := 0; rank < 2; rank++ {
+		log := run.Logs[rank]
+		sends, recvs := log.IntervalMarks()
+		for _, side := range []Side{Production, Consumption} {
+			marks, col := sends[0], log.Stores[0]
+			if side == Consumption {
+				marks, col = recvs[0], log.Loads[0]
+			}
+			var want []Point
+			intervals := 0
+			for j := 0; j+1 < len(marks); j++ {
+				start, end := marks[j], marks[j+1]
+				if end <= start {
+					continue
+				}
+				added := false
+				for _, a := range col {
+					if a.T > start && a.T <= end {
+						want = append(want, Point{RelT: float64(a.T-start) / float64(end-start), Elem: int(a.Idx)})
+						added = true
+					}
+				}
+				if added {
+					intervals++
+				}
+			}
+			if active := (rank == 0) == (side == Production); active && intervals < 2 {
+				t.Fatalf("rank %d %s: only %d intervals with accesses", rank, side, intervals)
+			}
+			sc := ScatterFor(run, "buf", rank, side)
+			if !reflect.DeepEqual(sc.Points, want) || sc.Intervals != intervals {
+				t.Errorf("rank %d %s: %d points in %d intervals, want %d in %d",
+					rank, side, len(sc.Points), sc.Intervals, len(want), intervals)
+			}
+		}
 	}
 }
 

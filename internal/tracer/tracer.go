@@ -146,17 +146,7 @@ type Log struct {
 // time received data became available: Recv, the Wait of an Irecv and a
 // tracked collective's result.
 func (l *Log) IntervalMarks() (sends, recvs [][]int64) {
-	nArr := len(l.ArrayLens)
-	nSend, nRecv := make([]int, nArr), make([]int, nArr)
-	for _, e := range l.Events {
-		switch e.Kind {
-		case EvSend, EvISend, EvCollSend:
-			nSend[e.Arr]++
-		case EvRecv, EvRecvWait, EvCollRecv:
-			nRecv[e.Arr]++
-		}
-	}
-	sends, recvs = carve(nSend), carve(nRecv)
+	sends, recvs = make([][]int64, len(l.ArrayLens)), make([][]int64, len(l.ArrayLens))
 	for _, e := range l.Events {
 		switch e.Kind {
 		case EvSend, EvISend, EvCollSend:
@@ -166,21 +156,6 @@ func (l *Log) IntervalMarks() (sends, recvs [][]int64) {
 		}
 	}
 	return sends, recvs
-}
-
-// carve returns empty slices with capacities counts, sharing one backing
-// array.
-func carve(counts []int) [][]int64 {
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	backing := make([]int64, total)
-	out := make([][]int64, len(counts))
-	for i, c := range counts {
-		out[i], backing = backing[:0:c], backing[c:]
-	}
-	return out
 }
 
 // Run is the output of tracing one application execution.
