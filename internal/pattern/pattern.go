@@ -344,9 +344,6 @@ func ScatterFor(run *tracer.Run, bufferName string, rank int, side Side) *Scatte
 	}
 	for j := 0; j+1 < len(marks); j++ {
 		start, end := marks[j], marks[j+1]
-		if end <= start {
-			continue
-		}
 		var in []tracer.Access
 		in, accesses = window(accesses, start, end)
 		for _, a := range in {

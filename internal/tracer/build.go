@@ -249,7 +249,7 @@ func (r *Run) buildRankOverlap(tr *trace.Trace, rank int, log *Log, idealFor fun
 	}
 	synth := make([]synthOp, 0, nSynth)
 	irecvAt := make([][]trace.Record, len(events)) // original event index -> chunk irecvs
-	sched := make([]int64, r.Cfg.Chunks)           // per-chunk times of one message
+	sched := make([]int64, max(r.Cfg.Chunks, 1))   // per-chunk times of one message
 	handleCounter := 0
 	var msgSeq int64
 

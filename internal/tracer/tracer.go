@@ -25,7 +25,7 @@
 // in program order as 16-byte Access values. Every event and access
 // carries a Seq, its position in the rank's single program-order stream,
 // so the columns interleave with the events without being stored in one
-// list. Recording an access allocates 32 to 64 bytes, as the columns
+// list. A long column allocates 32 to 64 bytes per access, as the columns
 // double when full. The builders in build.go and the pattern
 // analyzer walk the columns with cursors instead of re-indexing them.
 package tracer
@@ -124,8 +124,8 @@ type Access struct {
 }
 
 // Log is the complete instrumentation record of one rank: its
-// communication events plus per-array access columns. Within a column,
-// both T and Seq are non-decreasing (strictly, for Seq).
+// communication events plus per-array access columns. Within a column, T
+// is non-decreasing and Seq strictly increasing.
 type Log struct {
 	Rank       int
 	Events     []Event
@@ -200,10 +200,10 @@ type Proc struct {
 	mp       *mpi.Proc
 	cfg      Config
 	clock    int64
-	seq      int32 // next program-order position
+	progSeq  int32 // next program-order position
 	events   []Event
 	arrays   []*Array
-	collSeq  int // collective sequence counter
+	seq      int // collective sequence counter
 	irecvSeq int // tracked non-blocking receive handles
 }
 
@@ -262,30 +262,30 @@ func (p *Proc) Compute(n int64) {
 	}
 }
 
-// nextSeq hands out the next program-order position.
-func (p *Proc) nextSeq() int32 {
-	if p.seq == math.MaxInt32 {
+// nextProgSeq hands out the next program-order position.
+func (p *Proc) nextProgSeq() int32 {
+	if p.progSeq == math.MaxInt32 {
 		panic(fmt.Sprintf("tracer: rank %d recorded more than %d events and accesses", p.Rank(), math.MaxInt32))
 	}
-	s := p.seq
-	p.seq++
+	s := p.progSeq
+	p.progSeq++
 	return s
 }
 
 func (p *Proc) record(e Event) {
 	e.T = p.clock
-	e.Seq = p.nextSeq()
+	e.Seq = p.nextProgSeq()
 	p.events = append(p.events, e)
 }
 
 // access appends element i's access at the current clock to col. Columns
-// double when full, so an access allocates 32 to 64 bytes amortized where
-// append's 1.25x growth of large slices would cost about 80.
+// double when full, so a long column allocates 32 to 64 bytes per access
+// where append's 1.25x growth of large slices would cost about 80.
 func (p *Proc) access(col []Access, i int) []Access {
 	if len(col) == cap(col) {
 		col = append(make([]Access, 0, max(2*cap(col), 32)), col...)
 	}
-	return append(col, Access{T: p.clock, Idx: int32(i), Seq: p.nextSeq()})
+	return append(col, Access{T: p.clock, Idx: int32(i), Seq: p.nextProgSeq()})
 }
 
 // ---------------------------------------------------------------------------
@@ -422,45 +422,45 @@ func (r rawAdapter) Recv(buf []float64, src, tag int)  { r.p.RecvRaw(buf, src, t
 
 var _ mpi.PointToPoint = rawAdapter{}
 
-func (p *Proc) nextCollSeq() int {
-	s := p.collSeq
-	p.collSeq += 2
+func (p *Proc) nextSeq() int {
+	s := p.seq
+	p.seq += 2
 	return s
 }
 
 // Barrier blocks until all ranks reach it; the dissemination exchanges are
 // traced as raw transfers.
-func (p *Proc) Barrier() { mpi.Barrier(rawAdapter{p}, p.nextCollSeq()) }
+func (p *Proc) Barrier() { mpi.Barrier(rawAdapter{p}, p.nextSeq()) }
 
 // Bcast broadcasts buf from root through instrumented transfers.
-func (p *Proc) Bcast(buf []float64, root int) { mpi.Bcast(rawAdapter{p}, buf, root, p.nextCollSeq()) }
+func (p *Proc) Bcast(buf []float64, root int) { mpi.Bcast(rawAdapter{p}, buf, root, p.nextSeq()) }
 
 // Reduce reduces into out on root through instrumented transfers.
 func (p *Proc) Reduce(buf, out []float64, op mpi.Op, root int) {
-	mpi.Reduce(rawAdapter{p}, buf, out, op, root, p.nextCollSeq())
+	mpi.Reduce(rawAdapter{p}, buf, out, op, root, p.nextSeq())
 }
 
 // Allreduce reduces into out on all ranks through instrumented transfers.
 func (p *Proc) Allreduce(buf, out []float64, op mpi.Op) {
-	mpi.Allreduce(rawAdapter{p}, buf, out, op, p.nextCollSeq())
+	mpi.Allreduce(rawAdapter{p}, buf, out, op, p.nextSeq())
 }
 
 // Gather gathers into out on root through instrumented transfers.
 func (p *Proc) Gather(buf, out []float64, root int) {
-	mpi.Gather(rawAdapter{p}, buf, out, root, p.nextCollSeq())
+	mpi.Gather(rawAdapter{p}, buf, out, root, p.nextSeq())
 }
 
 // Allgather gathers into out on all ranks through instrumented transfers.
-func (p *Proc) Allgather(buf, out []float64) { mpi.Allgather(rawAdapter{p}, buf, out, p.nextCollSeq()) }
+func (p *Proc) Allgather(buf, out []float64) { mpi.Allgather(rawAdapter{p}, buf, out, p.nextSeq()) }
 
 // Alltoall exchanges personalized blocks through instrumented transfers.
 func (p *Proc) Alltoall(buf, out []float64, m int) {
-	mpi.Alltoall(rawAdapter{p}, buf, out, m, p.nextCollSeq())
+	mpi.Alltoall(rawAdapter{p}, buf, out, m, p.nextSeq())
 }
 
 // ReduceScatter reduces and scatters through instrumented transfers.
 func (p *Proc) ReduceScatter(buf, out []float64, op mpi.Op) {
-	mpi.ReduceScatter(rawAdapter{p}, buf, out, op, p.nextCollSeq())
+	mpi.ReduceScatter(rawAdapter{p}, buf, out, op, p.nextSeq())
 }
 
 // AllreduceTracked performs an Allreduce whose contribution and result
@@ -471,7 +471,7 @@ func (p *Proc) ReduceScatter(buf, out []float64, op mpi.Op) {
 func (p *Proc) AllreduceTracked(in, out *Array, op mpi.Op) {
 	p.record(Event{Kind: EvCollSend, Arr: in.id, Peer: -1, Elems: len(in.data)})
 	p.record(Event{Kind: EvCollRecv, Arr: out.id, Peer: -1, Elems: len(out.data)})
-	mpi.Allreduce(rawAdapter{p}, in.data, out.data, op, p.nextCollSeq())
+	mpi.Allreduce(rawAdapter{p}, in.data, out.data, op, p.nextSeq())
 }
 
 // ---------------------------------------------------------------------------
