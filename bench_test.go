@@ -50,7 +50,7 @@ func analyze(b *testing.B, name string, ranks int) *core.Report {
 	if !ok {
 		b.Fatalf("unknown app %q", name)
 	}
-	rep, err := core.Analyze(entry.App, ranks, network.TestbedFor(name, ranks), tracer.DefaultConfig())
+	rep, err := core.Analyze(context.Background(), nil, entry.App, ranks, network.TestbedFor(name, ranks).Platform(), tracer.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func BenchmarkAblationChunkCount(b *testing.B) {
 			cfg.Chunks = chunks
 			var speedup float64
 			for i := 0; i < b.N; i++ {
-				rep, err := core.Analyze(entry.App, benchRanks, network.TestbedFor("cg", benchRanks), cfg)
+				rep, err := core.Analyze(context.Background(), nil, entry.App, benchRanks, network.TestbedFor("cg", benchRanks).Platform(), cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -273,7 +273,7 @@ func BenchmarkAblationBuses(b *testing.B) {
 			cfg := network.TestbedFor("sweep3d", benchRanks).WithBuses(buses)
 			var finish float64
 			for i := 0; i < b.N; i++ {
-				rep, err := core.Analyze(entry.App, benchRanks, cfg, tracer.DefaultConfig())
+				rep, err := core.Analyze(context.Background(), nil, entry.App, benchRanks, cfg.Platform(), tracer.DefaultConfig())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -296,7 +296,7 @@ func BenchmarkAblationPorts(b *testing.B) {
 			cfg.OutPorts = ports
 			var finish float64
 			for i := 0; i < b.N; i++ {
-				rep, err := core.Analyze(entry.App, benchRanks, cfg, tracer.DefaultConfig())
+				rep, err := core.Analyze(context.Background(), nil, entry.App, benchRanks, cfg.Platform(), tracer.DefaultConfig())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -318,7 +318,7 @@ func BenchmarkAblationCongestion(b *testing.B) {
 			cfg.CongestionFactor = cf
 			var finish float64
 			for i := 0; i < b.N; i++ {
-				rep, err := core.Analyze(entry.App, benchRanks, cfg, tracer.DefaultConfig())
+				rep, err := core.Analyze(context.Background(), nil, entry.App, benchRanks, cfg.Platform(), tracer.DefaultConfig())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -340,7 +340,7 @@ func BenchmarkAblationEagerThreshold(b *testing.B) {
 			cfg.EagerThresholdBytes = thr
 			var finish float64
 			for i := 0; i < b.N; i++ {
-				rep, err := core.Analyze(entry.App, benchRanks, cfg, tracer.DefaultConfig())
+				rep, err := core.Analyze(context.Background(), nil, entry.App, benchRanks, cfg.Platform(), tracer.DefaultConfig())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -362,7 +362,7 @@ func BenchmarkAblationMessageScale(b *testing.B) {
 			entry, _ := apps.ByNameScaled("cg", benchRanks, apps.Scale{SizeScale: scale, IterScale: 1})
 			var speedup float64
 			for i := 0; i < b.N; i++ {
-				rep, err := core.Analyze(entry.App, benchRanks, network.TestbedFor("cg", benchRanks), tracer.DefaultConfig())
+				rep, err := core.Analyze(context.Background(), nil, entry.App, benchRanks, network.TestbedFor("cg", benchRanks).Platform(), tracer.DefaultConfig())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -385,17 +385,17 @@ func BenchmarkAblationMessageScale(b *testing.B) {
 // asserted byte-identical to the serial reference before measuring.
 func BenchmarkEngineParallelSweep(b *testing.B) {
 	entry, _ := apps.ByName("cg", benchRanks)
-	netCfg := network.TestbedFor("cg", benchRanks)
+	plat := network.TestbedFor("cg", benchRanks).Platform()
 	tCfg := tracer.DefaultConfig()
 	counts := []int{1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16, 20, 24, 28, 32}
 	ctx := context.Background()
 	eng := engine.New(0) // GOMAXPROCS workers
 
-	serialPts, err := core.ChunkSweepSerial(entry.App, benchRanks, netCfg, tCfg, counts)
+	serialPts, err := core.ChunkSweepSerial(entry.App, benchRanks, plat, tCfg, counts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	parallelPts, err := core.ChunkSweepWith(ctx, eng, entry.App, benchRanks, netCfg, tCfg, counts)
+	parallelPts, err := core.ChunkSweep(ctx, eng, entry.App, benchRanks, plat, tCfg, counts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -405,7 +405,7 @@ func BenchmarkEngineParallelSweep(b *testing.B) {
 
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.ChunkSweepSerial(entry.App, benchRanks, netCfg, tCfg, counts); err != nil {
+			if _, err := core.ChunkSweepSerial(entry.App, benchRanks, plat, tCfg, counts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -414,7 +414,7 @@ func BenchmarkEngineParallelSweep(b *testing.B) {
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.ChunkSweepWith(ctx, eng, entry.App, benchRanks, netCfg, tCfg, counts); err != nil {
+			if _, err := core.ChunkSweep(ctx, eng, entry.App, benchRanks, plat, tCfg, counts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -444,7 +444,7 @@ func ringTrace(n, iters int, instr, bytes int64) *trace.Trace {
 // measures the amortized sweep path.
 func BenchmarkSimulatorReplay(b *testing.B) {
 	tr := ringTrace(32, 50, 100_000, 10_000)
-	cfg := network.Testbed(32)
+	plat := network.Testbed(32).Platform()
 	records := 0
 	for r := range tr.Ranks {
 		records += len(tr.Ranks[r].Records)
@@ -452,7 +452,11 @@ func BenchmarkSimulatorReplay(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(cfg, tr); err != nil {
+		prog, err := sim.Compile(tr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sim.RunProgram(plat, prog); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -561,7 +565,11 @@ func BenchmarkSimHierarchical(b *testing.B) {
 			var intra int64
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := sim.RunOn(tc.plat, tr)
+				prog, err := sim.Compile(tr)
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := sim.RunProgram(tc.plat, prog)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -130,7 +130,7 @@ func main() {
 			if err != nil {
 				return appAnalysis{}, fmt.Errorf("tracing %s: %w", name, err)
 			}
-			rep, err := core.AnalyzeRunOn(ctx, eng, run, platFor(name))
+			rep, err := core.AnalyzeRun(ctx, eng, run, platFor(name))
 			if err != nil {
 				return appAnalysis{}, fmt.Errorf("analyzing %s: %w", name, err)
 			}
@@ -174,8 +174,9 @@ func main() {
 // mappingStudy is the hierarchical-platform artifact: per application,
 // block vs round-robin placement on the active multi-node platform (the
 // marenostrum-4x preset when the flags selected a flat one), plus a CG
-// node-count sweep. The per-app sweeps run through the engine; traces come
-// from the shared cache.
+// node-count sweep. Each per-app sweep is a mapping-axis scenario run
+// through the engine; traces come from the shared cache, so every app is
+// traced once across all artifacts.
 func mappingStudy(ctx context.Context, eng *engine.Engine, ranks int, tCfg tracer.Config, platFor func(string) network.Platform, svgdir string) {
 	header("Mapping study — block vs round-robin placement (hierarchical platform)")
 	basePlat := func(name string) network.Platform {
@@ -192,22 +193,21 @@ func mappingStudy(ctx context.Context, eng *engine.Engine, ranks int, tCfg trace
 	}
 	fmt.Printf("platform: %s\n\n", basePlat("cg").Describe())
 	mappings := []network.Mapping{network.BlockMapping(), network.RoundRobinMapping()}
+	axis := core.MappingAxis(mappings[0].String(), mappings[1].String())
 	entries := apps.All(ranks)
 	swept, err := engine.Map(ctx, eng, len(entries), func(ctx context.Context, i int) ([]core.MappingPoint, error) {
 		name := entries[i].App.Name
-		run, err := eng.Traces().Trace(name, ranks, tCfg, entries[i].App.Kernel)
+		res, err := core.RunScenario(ctx, eng, core.Scenario{
+			App: entries[i].App, Ranks: ranks, Tracer: tCfg, Platform: basePlat(name),
+			Flavors: []core.Flavor{core.FlavorBase, core.FlavorReal},
+			Axes:    []core.Axis{axis},
+			Output:  core.OutputTraffic,
+			Traces:  eng.Traces(),
+		})
 		if err != nil {
-			return nil, fmt.Errorf("mapping tracing %s: %w", name, err)
+			return nil, fmt.Errorf("mapping %s: %w", name, err)
 		}
-		pts := make([]core.MappingPoint, 0, len(mappings))
-		for _, m := range mappings {
-			pt, err := core.MappingPointOf(run, basePlat(name).WithMapping(m))
-			if err != nil {
-				return nil, fmt.Errorf("mapping %s/%s: %w", name, m, err)
-			}
-			pts = append(pts, pt)
-		}
-		return pts, nil
+		return core.MappingPoints(res, mappings), nil
 	})
 	if err != nil {
 		fatal("%v", err)
@@ -240,7 +240,7 @@ func mappingStudy(ctx context.Context, eng *engine.Engine, ranks int, tCfg trace
 	for n := 1; n <= ranks; n *= 2 {
 		counts = append(counts, n)
 	}
-	pts, err := core.NodeCountSweepWith(ctx, eng, e.App, ranks, basePlat("cg"), tCfg, counts)
+	pts, err := core.NodeCountSweep(ctx, eng, e.App, ranks, basePlat("cg"), tCfg, counts)
 	if err != nil {
 		fatal("node-count sweep: %v", err)
 	}
@@ -261,18 +261,18 @@ func extras(ctx context.Context, eng *engine.Engine, ranks int, tCfg tracer.Conf
 	results, err := engine.Map(ctx, eng, len(entries), func(ctx context.Context, i int) (extra, error) {
 		e := entries[i]
 		name := e.App.Name
-		cfg := network.TestbedFor(name, ranks)
+		plat := network.TestbedFor(name, ranks).Platform()
 		// The shared cache makes this a hit when the main analysis loop
 		// already traced the app (the default -only=all run).
 		run, err := eng.Traces().Trace(name, ranks, tCfg, e.App.Kernel)
 		if err != nil {
 			return extra{}, fmt.Errorf("extras tracing %s: %w", name, err)
 		}
-		rep, err := core.AnalyzeRun(ctx, eng, run, cfg)
+		rep, err := core.AnalyzeRun(ctx, eng, run, plat)
 		if err != nil {
 			return extra{}, fmt.Errorf("extras %s: %w", name, err)
 		}
-		wi, err := core.WhatIfRun(ctx, eng, run, cfg)
+		wi, err := core.WhatIfRun(ctx, eng, run, plat)
 		if err != nil {
 			return extra{}, fmt.Errorf("extras %s what-if: %w", name, err)
 		}
@@ -317,7 +317,7 @@ func fig4(ctx context.Context, eng *engine.Engine, tCfg tracer.Config, width int
 	if err != nil {
 		fatal("fig4: %v", err)
 	}
-	rep, err := core.AnalyzeRun(ctx, eng, run, network.TestbedFor("cg", 4))
+	rep, err := core.AnalyzeRun(ctx, eng, run, network.TestbedFor("cg", 4).Platform())
 	if err != nil {
 		fatal("fig4: %v", err)
 	}

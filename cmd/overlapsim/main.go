@@ -68,7 +68,13 @@ func main() {
 
 	ctx := context.Background()
 	eng := engine.New(*workers)
-	rep, err := core.AnalyzeOn(ctx, eng, entry.App, *ranks, plat, tCfg)
+	// Trace once; the analysis and the optional what-if study share the run.
+	run, err := eng.Traces().Trace(entry.App.Name, *ranks, tCfg, entry.App.Kernel)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "overlapsim: tracing %q: %v\n", entry.App.Name, err)
+		os.Exit(1)
+	}
+	rep, err := core.AnalyzeRun(ctx, eng, run, plat)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "overlapsim: %v\n", err)
 		os.Exit(1)
@@ -108,7 +114,7 @@ func main() {
 		}
 	}
 	if *whatif {
-		wi, err := core.WhatIfOn(ctx, eng, entry.App, *ranks, plat, tCfg)
+		wi, err := core.WhatIfRun(ctx, eng, run, plat)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "overlapsim: what-if: %v\n", err)
 			os.Exit(1)

@@ -49,7 +49,7 @@ func main() {
 		}
 		return
 	}
-	rep, err := core.AnalyzeOn(context.Background(), nil, entry.App, *ranks, plat, tracer.DefaultConfig())
+	rep, err := core.Analyze(context.Background(), nil, entry.App, *ranks, plat, tracer.DefaultConfig())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "paraverdump: %v\n", err)
 		os.Exit(1)

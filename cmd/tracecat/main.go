@@ -157,7 +157,12 @@ func main() {
 			}
 			return
 		}
-		res, err := sim.RunOn(plat, tr)
+		prog, err := sim.Compile(tr)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "tracecat: replay: %v\n", err)
+			os.Exit(1)
+		}
+		res, err := sim.RunProgram(plat, prog)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "tracecat: replay: %v\n", err)
 			os.Exit(1)

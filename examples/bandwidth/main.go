@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -33,17 +34,17 @@ func main() {
 
 	for _, entry := range apps.All(ranks) {
 		name := entry.App.Name
-		report, err := core.Analyze(entry.App, ranks, network.TestbedFor(name, ranks), tracer.DefaultConfig())
+		report, err := core.Analyze(context.Background(), nil, entry.App, ranks, network.TestbedFor(name, ranks).Platform(), tracer.DefaultConfig())
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("== %s ==\n", name)
 		fmt.Printf("%-8s %12s %12s\n", "MB/s", "base (ms)", "ideal (ms)")
-		base, err := report.BandwidthSweep(core.FlavorBase, bandwidths)
+		base, err := report.BandwidthSweep(context.Background(), nil, core.FlavorBase, bandwidths)
 		if err != nil {
 			log.Fatal(err)
 		}
-		ideal, err := report.BandwidthSweep(core.FlavorIdeal, bandwidths)
+		ideal, err := report.BandwidthSweep(context.Background(), nil, core.FlavorIdeal, bandwidths)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -25,12 +26,12 @@ func main() {
 	// Pick NAS-CG from the application pool and the calibrated testbed
 	// (250 MB/s Myrinet-like network, Table I bus count).
 	entry, _ := apps.ByName("cg", ranks)
-	platform := network.TestbedFor("cg", ranks)
+	platform := network.TestbedFor("cg", ranks).Platform()
 
 	// One call runs the whole framework: Valgrind-equivalent tracing,
 	// trace transformation, and Dimemas-equivalent replay of all three
 	// execution flavours.
-	report, err := core.Analyze(entry.App, ranks, platform, tracer.DefaultConfig())
+	report, err := core.Analyze(context.Background(), nil, entry.App, ranks, platform, tracer.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func goldenLines(t *testing.T) []string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := core.AnalyzeRun(context.Background(), nil, run, network.TestbedFor(name, ranks))
+		rep, err := core.AnalyzeRun(context.Background(), nil, run, network.TestbedFor(name, ranks).Platform())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,11 +36,12 @@ type App struct {
 // Flavor selects one of the three reconstructed executions.
 type Flavor string
 
-// The three execution flavours of the paper.
+// The three execution flavours of the paper, spelled as the engine's
+// trace cache and trace.Trace.Flavor spell them.
 const (
-	FlavorBase  Flavor = "base"
-	FlavorReal  Flavor = "overlap-real"
-	FlavorIdeal Flavor = "overlap-ideal"
+	FlavorBase  Flavor = engine.FlavorBase
+	FlavorReal  Flavor = engine.FlavorReal
+	FlavorIdeal Flavor = engine.FlavorIdeal
 )
 
 // Report is the full output of one analysis.
@@ -99,31 +100,10 @@ func (r *Report) programOf(f Flavor) (*sim.Program, error) {
 }
 
 // Analyze traces the application once on ranks processes and reconstructs
-// the three execution flavours on the given platform. The three
-// build-and-replay jobs run concurrently on the default engine.
-func Analyze(app App, ranks int, netCfg network.Config, tCfg tracer.Config) (*Report, error) {
-	return AnalyzeWith(context.Background(), nil, app, ranks, netCfg, tCfg)
-}
-
-// AnalyzeWith is Analyze under an explicit context and engine (nil selects
-// the default engine).
-func AnalyzeWith(ctx context.Context, eng *engine.Engine, app App, ranks int, netCfg network.Config, tCfg tracer.Config) (*Report, error) {
-	if app.Kernel == nil {
-		return nil, fmt.Errorf("core: app %q has no kernel", app.Name)
-	}
-	if err := netCfg.Validate(); err != nil {
-		return nil, err
-	}
-	run, err := tracer.Trace(app.Name, ranks, tCfg, app.Kernel)
-	if err != nil {
-		return nil, fmt.Errorf("core: tracing %q: %w", app.Name, err)
-	}
-	return AnalyzeRun(ctx, eng, run, netCfg)
-}
-
-// AnalyzeOn is Analyze on a hierarchical platform: rank placement and the
-// intra/inter link split shape every replay.
-func AnalyzeOn(ctx context.Context, eng *engine.Engine, app App, ranks int, plat network.Platform, tCfg tracer.Config) (*Report, error) {
+// the three execution flavours on the platform plat (a flat
+// network.Config enters as cfg.Platform()). The three build-and-replay
+// jobs run concurrently on eng (nil selects the default engine).
+func Analyze(ctx context.Context, eng *engine.Engine, app App, ranks int, plat network.Platform, tCfg tracer.Config) (*Report, error) {
 	if app.Kernel == nil {
 		return nil, fmt.Errorf("core: app %q has no kernel", app.Name)
 	}
@@ -134,24 +114,16 @@ func AnalyzeOn(ctx context.Context, eng *engine.Engine, app App, ranks int, plat
 	if err != nil {
 		return nil, fmt.Errorf("core: tracing %q: %w", app.Name, err)
 	}
-	return AnalyzeRunOn(ctx, eng, run, plat)
+	return AnalyzeRun(ctx, eng, run, plat)
 }
 
 // AnalyzeRun reconstructs the three execution flavours of an
-// already-traced run on the given flat platform — the fan-out half of
-// Analyze. Callers that trace through the engine's shared cache
-// (engine.TraceCache) use it to analyze one traced execution under many
-// platforms without re-tracing.
-func AnalyzeRun(ctx context.Context, eng *engine.Engine, run *tracer.Run, netCfg network.Config) (*Report, error) {
-	if err := netCfg.Validate(); err != nil {
-		return nil, err
-	}
-	return AnalyzeRunOn(ctx, eng, run, netCfg.Platform())
-}
-
-// AnalyzeRunOn is AnalyzeRun on a hierarchical platform. The per-flavour
-// trace builds and replays are one engine job each.
-func AnalyzeRunOn(ctx context.Context, eng *engine.Engine, run *tracer.Run, plat network.Platform) (*Report, error) {
+// already-traced run on plat — the fan-out half of Analyze. Callers that
+// trace through the engine's shared cache (engine.TraceCache) use it to
+// analyze one traced execution under many platforms without re-tracing.
+// Each flavour's trace build, compile and fresh-arena replay is one
+// engine job.
+func AnalyzeRun(ctx context.Context, eng *engine.Engine, run *tracer.Run, plat network.Platform) (*Report, error) {
 	if err := plat.Validate(); err != nil {
 		return nil, err
 	}
@@ -174,7 +146,11 @@ func AnalyzeRunOn(ctx context.Context, eng *engine.Engine, run *tracer.Run, plat
 		if err := tr.Validate(); err != nil {
 			return flavorOut{}, fmt.Errorf("core: generated trace invalid: %w", err)
 		}
-		res, err := sim.RunOn(plat, tr)
+		prog, err := sim.Compile(tr)
+		if err != nil {
+			return flavorOut{}, fmt.Errorf("core: compiling %s: %w", jobs[i].flavor, err)
+		}
+		res, err := sim.RunProgram(plat, prog)
 		if err != nil {
 			return flavorOut{}, fmt.Errorf("core: replaying %s: %w", jobs[i].flavor, err)
 		}
@@ -219,12 +195,6 @@ func (r *Report) ResultOf(f Flavor) *sim.Result {
 	default:
 		return nil
 	}
-}
-
-// FinishAt replays one flavour's trace on a modified flat platform and
-// returns its makespan. It powers the bandwidth sweeps of Fig. 6b/6c.
-func (r *Report) FinishAt(f Flavor, cfg network.Config) (float64, error) {
-	return r.FinishOn(f, cfg.Platform())
 }
 
 // FinishOn replays one flavour's trace on a modified hierarchical platform
@@ -273,18 +243,12 @@ func (r *Report) EquivalentBandwidth(f Flavor, opts metrics.SearchOptions) (floa
 	return metrics.MinBandwidth(r.finishFunc(FlavorBase), target, opts)
 }
 
-// BandwidthSweep replays one flavour across the given bandwidths and
-// returns the finish-time series, the raw data behind the Fig. 6 plots.
-// The replay points run concurrently on the default engine.
-func (r *Report) BandwidthSweep(f Flavor, bandwidths []float64) (*metrics.Series, error) {
-	return r.BandwidthSweepWith(context.Background(), nil, f, bandwidths)
-}
-
-// BandwidthSweepWith is BandwidthSweep under an explicit context and
-// engine (nil selects the default engine): every bandwidth point replays
-// the shared flavour trace on one pool worker, and the series keeps the
-// input bandwidth order.
-func (r *Report) BandwidthSweepWith(ctx context.Context, eng *engine.Engine, f Flavor, bandwidths []float64) (*metrics.Series, error) {
+// BandwidthSweep replays one flavour across the given interconnect
+// bandwidths and returns the finish-time series, the raw data behind the
+// Fig. 6 plots. Every bandwidth point replays the shared flavour program
+// on one worker of eng (nil selects the default engine), and the series
+// keeps the input bandwidth order.
+func (r *Report) BandwidthSweep(ctx context.Context, eng *engine.Engine, f Flavor, bandwidths []float64) (*metrics.Series, error) {
 	fins, err := engine.Map(ctx, eng, len(bandwidths), func(ctx context.Context, i int) (float64, error) {
 		return r.FinishOn(f, r.Platform.WithInterBandwidth(bandwidths[i]))
 	})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -32,25 +33,30 @@ func pipelineKernel(n, iters int, work int64) func(p *tracer.Proc) {
 	}
 }
 
-func testNet(procs int) network.Config {
-	c := network.Testbed(procs)
-	return c
+func testNet(procs int) network.Platform {
+	return network.Testbed(procs).Platform()
 }
 
 func TestAnalyzeRejectsBadInputs(t *testing.T) {
-	if _, err := Analyze(App{Name: "x"}, 2, testNet(2), tracer.DefaultConfig()); err == nil {
+	if _, err := Analyze(context.Background(), nil, App{Name: "x"}, 2, testNet(2), tracer.DefaultConfig()); err == nil {
 		t.Fatal("nil kernel accepted")
 	}
 	bad := testNet(2)
 	bad.MIPS = 0
-	if _, err := Analyze(App{Name: "x", Kernel: pipelineKernel(8, 1, 1)}, 2, bad, tracer.DefaultConfig()); err == nil {
+	if _, err := Analyze(context.Background(), nil, App{Name: "x", Kernel: pipelineKernel(8, 1, 1)}, 2, bad, tracer.DefaultConfig()); err == nil {
 		t.Fatal("invalid network accepted")
+	}
+	// A non-positive world size is an error from the tracer, not a panic.
+	for _, ranks := range []int{0, -2} {
+		if _, err := Analyze(context.Background(), nil, App{Name: "x", Kernel: pipelineKernel(8, 1, 1)}, ranks, testNet(2), tracer.DefaultConfig()); err == nil {
+			t.Fatalf("ranks=%d accepted", ranks)
+		}
 	}
 }
 
 func TestAnalyzePipeline(t *testing.T) {
 	app := App{Name: "pipe", Kernel: pipelineKernel(4000, 4, 200)}
-	rep, err := Analyze(app, 2, testNet(2), tracer.DefaultConfig())
+	rep, err := Analyze(context.Background(), nil, app, 2, testNet(2), tracer.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +83,7 @@ func TestAnalyzePipeline(t *testing.T) {
 
 func TestReportAccessors(t *testing.T) {
 	app := App{Name: "pipe", Kernel: pipelineKernel(100, 2, 50)}
-	rep, err := Analyze(app, 2, testNet(2), tracer.DefaultConfig())
+	rep, err := Analyze(context.Background(), nil, app, 2, testNet(2), tracer.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,15 +99,15 @@ func TestReportAccessors(t *testing.T) {
 
 func TestFinishAtHigherBandwidthIsFaster(t *testing.T) {
 	app := App{Name: "pipe", Kernel: pipelineKernel(4000, 3, 100)}
-	rep, err := Analyze(app, 2, testNet(2), tracer.DefaultConfig())
+	rep, err := Analyze(context.Background(), nil, app, 2, testNet(2), tracer.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := rep.FinishAt(FlavorBase, rep.Network.WithBandwidth(10))
+	slow, err := rep.FinishOn(FlavorBase, rep.Platform.WithInterBandwidth(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := rep.FinishAt(FlavorBase, rep.Network.WithBandwidth(1000))
+	fast, err := rep.FinishOn(FlavorBase, rep.Platform.WithInterBandwidth(1000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +118,7 @@ func TestFinishAtHigherBandwidthIsFaster(t *testing.T) {
 
 func TestRelaxedBandwidthBelowReference(t *testing.T) {
 	app := App{Name: "pipe", Kernel: pipelineKernel(4000, 3, 100)}
-	rep, err := Analyze(app, 2, testNet(2), tracer.DefaultConfig())
+	rep, err := Analyze(context.Background(), nil, app, 2, testNet(2), tracer.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +138,7 @@ func TestRelaxedBandwidthBelowReference(t *testing.T) {
 
 func TestEquivalentBandwidthAboveReference(t *testing.T) {
 	app := App{Name: "pipe", Kernel: pipelineKernel(4000, 3, 100)}
-	rep, err := Analyze(app, 2, testNet(2), tracer.DefaultConfig())
+	rep, err := Analyze(context.Background(), nil, app, 2, testNet(2), tracer.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,11 +158,11 @@ func TestEquivalentBandwidthAboveReference(t *testing.T) {
 
 func TestBandwidthSweepMonotone(t *testing.T) {
 	app := App{Name: "pipe", Kernel: pipelineKernel(2000, 2, 100)}
-	rep, err := Analyze(app, 2, testNet(2), tracer.DefaultConfig())
+	rep, err := Analyze(context.Background(), nil, app, 2, testNet(2), tracer.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := rep.BandwidthSweep(FlavorBase, []float64{5, 25, 125, 625})
+	s, err := rep.BandwidthSweep(context.Background(), nil, FlavorBase, []float64{5, 25, 125, 625})
 	if err != nil {
 		t.Fatal(err)
 	}

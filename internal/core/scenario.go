@@ -233,6 +233,10 @@ const (
 	OutputReport OutputKind = "report"
 )
 
+// AppFactory builds the application configured for a given rank count
+// (kernels whose decomposition depends on the world size need this).
+type AppFactory func(ranks int) (App, error)
+
 // Scenario is the declarative spec of one study.
 //
 // The workload is either an application (App, or Factory when a ranks
@@ -307,7 +311,7 @@ type Scenario struct {
 	// ReplayShards overrides the planner's intra-point parallelism choice
 	// for finish/traffic replays: 0 lets the planner decide by grid size,
 	// 1 forces serial replay, n > 1 requests n conservative-PDES shards
-	// per replay (sim.RunProgramShards; platforms that cannot shard fall
+	// per replay (sim.ReplayShardsSummary; platforms that cannot shard fall
 	// back to serial). Sharded and serial replays are byte-identical, so
 	// this is pure scheduling — like Traces and PointCache it never
 	// enters the canonical digest.

@@ -255,7 +255,7 @@ func RunScenarioStream(ctx context.Context, eng *engine.Engine, spec Scenario, y
 			}
 			mStageCompile.ObserveSince(t0)
 			t0 = time.Now()
-			wi, err := WhatIfRunOn(ctx, eng, run, pt.plat)
+			wi, err := WhatIfRun(ctx, eng, run, pt.plat)
 			if err != nil {
 				return ScenarioPoint{}, err
 			}
@@ -278,7 +278,7 @@ func RunScenarioStream(ctx context.Context, eng *engine.Engine, spec Scenario, y
 			}
 			mStageCompile.ObserveSince(t0)
 			t0 = time.Now()
-			rep, err := AnalyzeRunOn(ctx, eng, run, pt.plat)
+			rep, err := AnalyzeRun(ctx, eng, run, pt.plat)
 			if err != nil {
 				return ScenarioPoint{}, err
 			}
@@ -305,7 +305,7 @@ func RunScenarioStream(ctx context.Context, eng *engine.Engine, spec Scenario, y
 // workers already saturates the cores through inter-point parallelism,
 // so every point replays serially; a small grid (one point, a handful of
 // flavors) leaves workers idle, and those move inside each replay as
-// conservative-PDES shards instead (sim.RunProgramShards). Sharded and
+// conservative-PDES shards instead (sim.ReplayShardsSummary). Sharded and
 // serial replays are byte-identical, so the choice is pure scheduling —
 // it can never change a result. Platforms that cannot shard fall back to
 // serial inside sim.EffectiveShards.

@@ -122,6 +122,16 @@ func TestScenarioDigestNormalizes(t *testing.T) {
 	}
 }
 
+// replayOn compiles tr and replays it on p with a fresh arena — the plain
+// full-result replay path.
+func replayOn(p network.Platform, tr *trace.Trace) (*sim.Result, error) {
+	prog, err := sim.Compile(tr)
+	if err != nil {
+		return nil, err
+	}
+	return sim.RunProgram(p, prog)
+}
+
 // TestMappingSweepIsScenarioTranslation proves the legacy core function
 // returns byte-identical JSON to an independent serial replay of the
 // same study — the golden-equivalence contract of the wrapper rewrite.
@@ -131,7 +141,7 @@ func TestMappingSweepIsScenarioTranslation(t *testing.T) {
 	app := scenarioApp()
 	mappings := []network.Mapping{network.BlockMapping(), network.RoundRobinMapping()}
 
-	got, err := MappingSweepWith(context.Background(), engine.New(4), app, ranks, plat, tracer.DefaultConfig(), mappings)
+	got, err := MappingSweep(context.Background(), engine.New(4), app, ranks, plat, tracer.DefaultConfig(), mappings)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +155,11 @@ func TestMappingSweepIsScenarioTranslation(t *testing.T) {
 	want := make([]MappingPoint, 0, len(mappings))
 	for _, m := range mappings {
 		p := plat.WithMapping(m)
-		baseRes, err := sim.RunOn(p, run.BaseTrace())
+		baseRes, err := replayOn(p, run.BaseTrace())
 		if err != nil {
 			t.Fatal(err)
 		}
-		realRes, err := sim.RunOn(p, run.OverlapReal())
+		realRes, err := replayOn(p, run.OverlapReal())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +193,7 @@ func TestWhatIfIsScenarioTranslation(t *testing.T) {
 	app := scenarioApp()
 	cfg := network.TestbedFor("cg", ranks)
 
-	got, err := WhatIfWith(context.Background(), engine.New(2), app, ranks, cfg, tracer.DefaultConfig())
+	got, err := WhatIf(context.Background(), engine.New(2), app, ranks, cfg.Platform(), tracer.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +201,7 @@ func TestWhatIfIsScenarioTranslation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := WhatIfRunOn(context.Background(), engine.New(2), run, cfg.Platform())
+	want, err := WhatIfRun(context.Background(), engine.New(2), run, cfg.Platform())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,16 +8,15 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/network"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/tracer"
 )
 
-// Parameter-sweep studies built on the pipeline: chunk-count ablation and
-// strong-scaling runs. Both are embarrassingly parallel — every point is a
-// pure function of the traced run and its parameters — so they submit
-// their points to the experiment engine: the application is traced once,
-// the per-point trace rebuilds and replays fan out across the worker
-// pool, and results come back in input order, byte-identical to the
-// serial reference path.
+// Chunk-count ablation built on the pipeline. Every point is a pure
+// function of the traced run and its chunk count, so the sweep is a
+// scenario: the application is traced once, the per-point trace rebuilds
+// and replays fan out across the engine's worker pool, and results come
+// back in input order, byte-identical to the serial reference path.
 
 // ChunkPoint is one measurement of the chunk-count ablation.
 type ChunkPoint struct {
@@ -25,30 +24,16 @@ type ChunkPoint struct {
 	SpeedupReal, SpeedupIdeal float64
 }
 
-// ChunkSweep measures overlap speedups across chunk counts. The paper
-// fixes 4 chunks; the sweep quantifies that design choice. Points run
-// concurrently on the default engine.
-func ChunkSweep(app App, ranks int, netCfg network.Config, tCfg tracer.Config, counts []int) ([]ChunkPoint, error) {
-	return ChunkSweepWith(context.Background(), nil, app, ranks, netCfg, tCfg, counts)
-}
-
-// ChunkSweepWith is ChunkSweep under an explicit context and engine (nil
-// selects the default engine). It is a thin wrapper over a scenario spec
-// — a chunks axis measuring all three flavors — so the application is
-// traced once, each chunk count rebuilds the overlapped traces from a
-// copy-on-write variant of the shared run, the chunk-independent base
-// flavor compiles once, and every replay runs on a pooled arena.
-func ChunkSweepWith(ctx context.Context, eng *engine.Engine, app App, ranks int, netCfg network.Config, tCfg tracer.Config, counts []int) ([]ChunkPoint, error) {
-	if err := netCfg.Validate(); err != nil {
-		return nil, err
-	}
-	for _, k := range counts {
-		if k <= 0 {
-			return nil, fmt.Errorf("core: chunk count %d", k)
-		}
-	}
+// ChunkSweep measures overlap speedups across chunk counts on plat. The
+// paper fixes 4 chunks; the sweep quantifies that design choice. It is a
+// thin wrapper over a scenario spec — a chunks axis measuring all three
+// flavors — so the application is traced once, each chunk count rebuilds
+// the overlapped traces from a copy-on-write variant of the shared run,
+// the chunk-independent base flavor compiles once, and every replay runs
+// on a pooled arena of eng (nil selects the default engine).
+func ChunkSweep(ctx context.Context, eng *engine.Engine, app App, ranks int, plat network.Platform, tCfg tracer.Config, counts []int) ([]ChunkPoint, error) {
 	res, err := RunScenario(ctx, eng, Scenario{
-		App: app, Ranks: ranks, Tracer: tCfg, Platform: netCfg.Platform(),
+		App: app, Ranks: ranks, Tracer: tCfg, Platform: plat,
 		Flavors: []Flavor{FlavorBase, FlavorReal, FlavorIdeal},
 		Axes:    []Axis{ChunksAxis(counts...)},
 		Output:  OutputFinish,
@@ -69,118 +54,62 @@ func ChunkSweepWith(ctx context.Context, eng *engine.Engine, app App, ranks int,
 }
 
 // ChunkSweepSerial is the serial reference implementation of ChunkSweep:
-// one goroutine, the original loop. It exists so determinism tests and
+// one goroutine, the original loop, every replay compiled and run on a
+// fresh arena. It exists so determinism tests and
 // BenchmarkEngineParallelSweep can assert the engine path returns
 // byte-identical results while measuring its speedup.
-func ChunkSweepSerial(app App, ranks int, netCfg network.Config, tCfg tracer.Config, counts []int) ([]ChunkPoint, error) {
-	run, baseFinish, err := chunkSweepPrelude(app, ranks, netCfg, tCfg, counts)
+func ChunkSweepSerial(app App, ranks int, plat network.Platform, tCfg tracer.Config, counts []int) ([]ChunkPoint, error) {
+	if err := plat.Validate(); err != nil {
+		return nil, err
+	}
+	for _, k := range counts {
+		if k <= 0 {
+			return nil, fmt.Errorf("core: chunk count %d", k)
+		}
+	}
+	run, err := tracer.Trace(app.Name, ranks, tCfg, app.Kernel)
+	if err != nil {
+		return nil, err
+	}
+	baseFinish, err := finishOf(run.BaseTrace(), plat)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]ChunkPoint, 0, len(counts))
 	for _, k := range counts {
-		pt, err := chunkPoint(run, k, netCfg, baseFinish)
+		// The copy-on-write variant rebuilds the overlapped traces under a
+		// different chunking of the same event log.
+		kRun := run.WithChunks(k)
+		real, err := finishOf(kRun.OverlapReal(), plat)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: chunks=%d real: %w", k, err)
 		}
-		out = append(out, pt)
+		ideal, err := finishOf(kRun.OverlapIdeal(), plat)
+		if err != nil {
+			return nil, fmt.Errorf("core: chunks=%d ideal: %w", k, err)
+		}
+		out = append(out, ChunkPoint{
+			Chunks:       k,
+			SpeedupReal:  metrics.Speedup(baseFinish, real),
+			SpeedupIdeal: metrics.Speedup(baseFinish, ideal),
+		})
 	}
 	return out, nil
 }
 
-// chunkSweepPrelude is the setup shared by the parallel and serial sweep
-// paths: validate inputs, trace the application once, and replay the
-// non-overlapped baseline. Keeping it single-sourced is what makes the
-// two paths byte-identical by construction.
-func chunkSweepPrelude(app App, ranks int, netCfg network.Config, tCfg tracer.Config, counts []int) (*tracer.Run, float64, error) {
-	if err := netCfg.Validate(); err != nil {
-		return nil, 0, err
+// finishOf validates tr, compiles it and replays it on plat with a fresh
+// arena, returning the makespan.
+func finishOf(tr *trace.Trace, plat network.Platform) (float64, error) {
+	if err := tr.Validate(); err != nil {
+		return 0, err
 	}
-	for _, k := range counts {
-		if k <= 0 {
-			return nil, 0, fmt.Errorf("core: chunk count %d", k)
-		}
-	}
-	run, err := tracer.Trace(app.Name, ranks, tCfg, app.Kernel)
+	prog, err := sim.Compile(tr)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	base := run.BaseTrace()
-	if err := base.Validate(); err != nil {
-		return nil, 0, err
-	}
-	baseRes, err := sim.Run(netCfg, base)
+	res, err := sim.RunProgram(plat, prog)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	return run, baseRes.FinishSec, nil
-}
-
-// chunkPoint rebuilds the overlapped traces under a different chunking of
-// the same event log and replays them. The copy-on-write variant keeps
-// concurrent points from sharing a mutable Run header (the old
-// `kRun := *run` shallow copy aliased the log slices).
-func chunkPoint(run *tracer.Run, k int, netCfg network.Config, baseFinish float64) (ChunkPoint, error) {
-	kRun := run.WithChunks(k)
-	real := kRun.OverlapReal()
-	ideal := kRun.OverlapIdeal()
-	if err := real.Validate(); err != nil {
-		return ChunkPoint{}, fmt.Errorf("core: chunks=%d real: %w", k, err)
-	}
-	if err := ideal.Validate(); err != nil {
-		return ChunkPoint{}, fmt.Errorf("core: chunks=%d ideal: %w", k, err)
-	}
-	realRes, err := sim.Run(netCfg, real)
-	if err != nil {
-		return ChunkPoint{}, err
-	}
-	idealRes, err := sim.Run(netCfg, ideal)
-	if err != nil {
-		return ChunkPoint{}, err
-	}
-	return ChunkPoint{
-		Chunks:       k,
-		SpeedupReal:  metrics.Speedup(baseFinish, realRes.FinishSec),
-		SpeedupIdeal: metrics.Speedup(baseFinish, idealRes.FinishSec),
-	}, nil
-}
-
-// ScalePoint is one measurement of a strong-scaling study.
-type ScalePoint struct {
-	Ranks                     int
-	BaseFinishSec             float64
-	SpeedupReal, SpeedupIdeal float64
-}
-
-// AppFactory builds the application configured for a given rank count
-// (kernels whose decomposition depends on the world size need this).
-type AppFactory func(ranks int) (App, error)
-
-// ScalingStudy analyzes the application across rank counts on platforms
-// derived from cfgFor. Points run concurrently on the default engine.
-func ScalingStudy(factory AppFactory, rankCounts []int, cfgFor func(ranks int) network.Config, tCfg tracer.Config) ([]ScalePoint, error) {
-	return ScalingStudyWith(context.Background(), nil, factory, rankCounts, cfgFor, tCfg)
-}
-
-// ScalingStudyWith is ScalingStudy under an explicit context and engine
-// (nil selects the default engine). Each rank count is one job: trace,
-// build, and replay all three flavours.
-func ScalingStudyWith(ctx context.Context, eng *engine.Engine, factory AppFactory, rankCounts []int, cfgFor func(ranks int) network.Config, tCfg tracer.Config) ([]ScalePoint, error) {
-	return engine.Map(ctx, eng, len(rankCounts), func(ctx context.Context, i int) (ScalePoint, error) {
-		ranks := rankCounts[i]
-		app, err := factory(ranks)
-		if err != nil {
-			return ScalePoint{}, err
-		}
-		rep, err := AnalyzeWith(ctx, eng, app, ranks, cfgFor(ranks), tCfg)
-		if err != nil {
-			return ScalePoint{}, fmt.Errorf("core: scaling at %d ranks: %w", ranks, err)
-		}
-		return ScalePoint{
-			Ranks:         ranks,
-			BaseFinishSec: rep.Base.FinishSec,
-			SpeedupReal:   rep.SpeedupReal,
-			SpeedupIdeal:  rep.SpeedupIdeal,
-		}, nil
-	})
+	return res.FinishSec, nil
 }

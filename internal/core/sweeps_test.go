@@ -1,15 +1,19 @@
 package core
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/network"
 	"repro/internal/tracer"
 )
 
 func TestChunkSweep(t *testing.T) {
 	app := App{Name: "pipe", Kernel: pipelineKernel(4000, 3, 150)}
-	pts, err := ChunkSweep(app, 2, testNet(2), tracer.DefaultConfig(), []int{1, 2, 4, 8})
+	pts, err := ChunkSweep(context.Background(), nil, app, 2, testNet(2), tracer.DefaultConfig(), []int{1, 2, 4, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,29 +38,42 @@ func TestChunkSweep(t *testing.T) {
 
 func TestChunkSweepRejectsBadCount(t *testing.T) {
 	app := App{Name: "pipe", Kernel: pipelineKernel(100, 1, 10)}
-	if _, err := ChunkSweep(app, 2, testNet(2), tracer.DefaultConfig(), []int{0}); err == nil {
+	if _, err := ChunkSweep(context.Background(), nil, app, 2, testNet(2), tracer.DefaultConfig(), []int{0}); err == nil {
 		t.Fatal("chunk count 0 accepted")
 	}
 }
 
-func TestScalingStudy(t *testing.T) {
-	factory := func(ranks int) (App, error) {
-		return App{Name: "pipe", Kernel: pipelineKernel(1000, 2, 100)}, nil
+// TestScenarioRanksAxisDeterministic: a strong-scaling study is a ranks-axis
+// scenario with a per-world-size factory; every point is well-formed and a
+// rerun on a different worker count reproduces it byte for byte.
+func TestScenarioRanksAxisDeterministic(t *testing.T) {
+	factory := func(ranks int) (App, error) { return scenarioApp(), nil }
+	spec := Scenario{
+		Factory: factory, Ranks: 2, Platform: network.TestbedFor("cg", 4).Platform(),
+		Flavors: []Flavor{FlavorBase, FlavorReal, FlavorIdeal},
+		Axes:    []Axis{RanksAxis(2, 4)},
 	}
-	pts, err := ScalingStudy(factory, []int{2, 2}, func(r int) network.Config { return testNet(r) }, tracer.DefaultConfig())
+	first, err := RunScenario(context.Background(), engine.New(1), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 2 {
-		t.Fatalf("points=%d", len(pts))
+	if len(first.Points) != 2 {
+		t.Fatalf("points=%d", len(first.Points))
 	}
-	for _, p := range pts {
-		if p.BaseFinishSec <= 0 || p.SpeedupReal <= 0 {
-			t.Fatalf("degenerate point: %+v", p)
+	for _, pt := range first.Points {
+		for _, fm := range pt.Flavors {
+			if fm.FinishSec <= 0 {
+				t.Fatalf("degenerate point %s: %+v", coordsLabel(pt.Coords), fm)
+			}
 		}
 	}
-	// Determinism: identical configurations give identical results.
-	if pts[0] != pts[1] {
-		t.Fatalf("nondeterministic study: %+v vs %+v", pts[0], pts[1])
+	again, err := RunScenario(context.Background(), engine.New(4), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := json.Marshal(first)
+	b, _ := json.Marshal(again)
+	if !bytes.Equal(a, b) {
+		t.Fatalf("nondeterministic study:\n%s\n%s", a, b)
 	}
 }

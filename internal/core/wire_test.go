@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"strings"
@@ -30,7 +31,7 @@ func reportFor(t *testing.T) *Report {
 			}
 		}
 	}}
-	rep, err := Analyze(app, 2, network.Testbed(2), tracer.DefaultConfig())
+	rep, err := Analyze(context.Background(), nil, app, 2, network.Testbed(2).Platform(), tracer.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestWireReportNaNSafe(t *testing.T) {
 			b.Load(0)
 		}
 	}}
-	rep, err := Analyze(app, 2, network.Testbed(2), tracer.DefaultConfig())
+	rep, err := Analyze(context.Background(), nil, app, 2, network.Testbed(2).Platform(), tracer.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,55 +74,27 @@ func TestCompiledTraceMemoizes(t *testing.T) {
 }
 
 // TestCompiledTraceReplaysIdentically: the cached program replays exactly
-// like the one-shot path over the trace it was compiled from.
+// like a fresh compile of the trace it was compiled from.
 func TestCompiledTraceReplaysIdentically(t *testing.T) {
 	c := NewTraceCache()
 	tr, prog, err := c.CompiledTrace("compiled-app-replay", 2, tracer.DefaultConfig(), compiledKernel, FlavorReal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := network.Testbed(2)
-	want, err := sim.Run(cfg, tr)
+	plat := network.Testbed(2).Platform()
+	fresh, err := sim.Compile(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sim.RunProgram(cfg.Platform(), prog)
+	want, err := sim.RunProgram(plat, fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sim.RunProgram(plat, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("cached program diverges: finish %g vs %g", want.FinishSec, got.FinishSec)
-	}
-}
-
-// TestSweepFinishMatchesReplayConfigs: the arena-pooled finish sweep and
-// the full-result replay path agree point for point.
-func TestSweepFinishMatchesReplayConfigs(t *testing.T) {
-	run, err := NewTraceCache().Trace("compiled-app-sweep", 2, tracer.DefaultConfig(), compiledKernel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := run.BaseTrace()
-	var cfgs []network.Config
-	var plats []network.Platform
-	for _, bw := range []float64{50, 100, 250, 1000} {
-		cfg := network.Testbed(2)
-		cfg.BandwidthMBps = bw
-		cfgs = append(cfgs, cfg)
-		plats = append(plats, cfg.Platform())
-	}
-	e := New(2)
-	results, err := ReplayConfigs(t.Context(), e, cfgs, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fins, err := SweepFinish(t.Context(), e, plats, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range fins {
-		if fins[i] != results[i].FinishSec {
-			t.Fatalf("point %d: SweepFinish %g != ReplayConfigs %g", i, fins[i], results[i].FinishSec)
-		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/network"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/tracer"
 )
 
@@ -43,16 +44,16 @@ func pipeKernel(n, iters int, work int64) func(p *tracer.Proc) {
 // bits in every float.
 func TestParallelSweepMatchesSerial(t *testing.T) {
 	app := core.App{Name: "pipe", Kernel: pipeKernel(2000, 3, 100)}
-	cfg := network.Testbed(2)
+	plat := network.Testbed(2).Platform()
 	counts := []int{1, 2, 3, 4, 6, 8, 12, 16}
 
-	serial, err := core.ChunkSweepSerial(app, 2, cfg, tracer.DefaultConfig(), counts)
+	serial, err := core.ChunkSweepSerial(app, 2, plat, tracer.DefaultConfig(), counts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 8} {
 		eng := engine.New(workers)
-		parallel, err := core.ChunkSweepWith(context.Background(), eng, app, 2, cfg, tracer.DefaultConfig(), counts)
+		parallel, err := core.ChunkSweep(context.Background(), eng, app, 2, plat, tracer.DefaultConfig(), counts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,9 +69,9 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestContextFreeWrappersInsideJobs calls the context-free core
-// conveniences (which submit to the process-wide default engine) from
-// inside jobs that saturate that same default engine. The caller-runs
+// TestContextFreeWrappersInsideJobs calls a core study with a nil engine
+// (which submits to the process-wide default engine) from inside jobs
+// that saturate that same default engine. The caller-runs
 // discipline must complete this; a pool that block-waits on itself would
 // deadlock here.
 func TestContextFreeWrappersInsideJobs(t *testing.T) {
@@ -79,7 +80,7 @@ func TestContextFreeWrappersInsideJobs(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		_, err := engine.Map(context.Background(), nil, n, func(ctx context.Context, i int) (float64, error) {
-			pts, err := core.ChunkSweep(app, 2, network.Testbed(2), tracer.DefaultConfig(), []int{1, 2, 4})
+			pts, err := core.ChunkSweep(ctx, nil, app, 2, network.Testbed(2).Platform(), tracer.DefaultConfig(), []int{1, 2, 4})
 			if err != nil {
 				return 0, err
 			}
@@ -93,7 +94,7 @@ func TestContextFreeWrappersInsideJobs(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(60 * time.Second):
-		t.Fatal("context-free wrapper deadlocked the default engine")
+		t.Fatal("nested default-engine study deadlocked the default engine")
 	}
 }
 
@@ -111,22 +112,29 @@ func TestConcurrentReplaysOfSharedTrace(t *testing.T) {
 	if err := base.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	cfg := network.Testbed(2)
+	plat := network.Testbed(2).Platform()
 	eng := engine.New(replays)
+	replay := func(tr *trace.Trace) (*sim.Result, error) {
+		prog, err := sim.Compile(tr)
+		if err != nil {
+			return nil, err
+		}
+		return sim.RunProgram(plat, prog)
+	}
 
 	results, err := engine.Map(context.Background(), eng, replays, func(ctx context.Context, i int) (*sim.Result, error) {
 		// Half the jobs replay the shared base trace directly; the other
 		// half build chunk variants from the shared run first, exercising
 		// the copy-on-write path concurrently with the readers.
 		if i%2 == 0 {
-			return sim.Run(cfg, base)
+			return replay(base)
 		}
 		v := run.WithChunks(1 + i%5)
 		tr := v.OverlapReal()
 		if err := tr.Validate(); err != nil {
 			return nil, err
 		}
-		return sim.Run(cfg, tr)
+		return replay(tr)
 	})
 	if err != nil {
 		t.Fatal(err)

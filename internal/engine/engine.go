@@ -21,9 +21,9 @@
 // Deadlock-freedom comes from the caller-runs discipline: a submitter
 // never blocks waiting for a pool slot. It opportunistically hands jobs to
 // free workers and otherwise runs them inline on its own goroutine. A job
-// may therefore call Map on the same engine — directly or through any of
-// the context-free convenience wrappers in package core — without risking
-// a pool whose every worker waits on sub-jobs. The cost is that each
+// may therefore call Map on the same engine — directly or through any
+// study in package core — without risking a pool whose every worker waits
+// on sub-jobs. The cost is that each
 // concurrently-submitting goroutine may execute at most one job itself, so
 // total parallelism is bounded by Workers plus the number of concurrent
 // Map callers (each of which would otherwise sit idle).
@@ -123,24 +123,10 @@ type JobObserver func(JobEvent)
 // values are not comparable).
 type obsEntry struct{ fn JobObserver }
 
-// SetObserver replaces the engine's whole observer set with fn (nil
-// clears it) — the legacy single-hook semantics. To compose with hooks
-// installed by other layers, use AddObserver instead.
-func (e *Engine) SetObserver(fn JobObserver) {
-	e.obsMu.Lock()
-	defer e.obsMu.Unlock()
-	if fn == nil {
-		e.observers.Store(nil)
-		return
-	}
-	list := []*obsEntry{{fn: fn}}
-	e.observers.Store(&list)
-}
-
 // AddObserver appends fn to the engine's observer chain — every
 // observer sees every event — and returns a function that removes
-// exactly this registration. Unlike SetObserver it never evicts hooks
-// installed by other layers.
+// exactly this registration. It never evicts hooks installed by other
+// layers.
 func (e *Engine) AddObserver(fn JobObserver) (remove func()) {
 	entry := &obsEntry{fn: fn}
 	e.obsMu.Lock()

@@ -9,6 +9,20 @@ import (
 	"repro/internal/trace"
 )
 
+// replayOn compiles tr and replays it on p with a fresh arena.
+func replayOn(t *testing.T, p network.Platform, tr *trace.Trace) *sim.Result {
+	t.Helper()
+	prog, err := sim.Compile(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.RunProgram(p, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func pingResult(t *testing.T) *sim.Result {
 	t.Helper()
 	tr := trace.New("ping", "base", 2)
@@ -17,10 +31,7 @@ func pingResult(t *testing.T) *sim.Result {
 	tr.Append(1, trace.Record{Kind: trace.KindRecv, Peer: 0, Tag: 0, Bytes: 100_000})
 	tr.Append(1, trace.Record{Kind: trace.KindCompute, Instr: 500_000})
 	cfg := network.Config{Processors: 2, LatencySec: 1e-5, BandwidthMBps: 100, MIPS: 1000, EagerThresholdBytes: -1, RelativeSpeed: 1}
-	res, err := sim.Run(cfg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := replayOn(t, cfg.Platform(), tr)
 	return res
 }
 

@@ -24,10 +24,7 @@ func ringResult(t *testing.T, ranks, iters int) *sim.Result {
 		}
 	}
 	cfg := network.Config{Processors: ranks, LatencySec: 1e-5, BandwidthMBps: 100, MIPS: 1000, EagerThresholdBytes: -1, RelativeSpeed: 1}
-	res, err := sim.Run(cfg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := replayOn(t, cfg.Platform(), tr)
 	return res
 }
 
@@ -174,10 +171,7 @@ func hierRingResult(t *testing.T, ranks int) *sim.Result {
 	cfg := network.Config{Processors: ranks, LatencySec: 1e-5, BandwidthMBps: 100, MIPS: 1000, EagerThresholdBytes: -1, RelativeSpeed: 1}
 	p := cfg.Platform().WithNodes(2)
 	p.Intra = network.Link{LatencySec: 1e-6, BandwidthMBps: 5000}
-	res, err := sim.RunOn(p, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := replayOn(t, p, tr)
 	return res
 }
 

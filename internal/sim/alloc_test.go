@@ -114,29 +114,3 @@ func TestPooledReplayAllocs(t *testing.T) {
 		t.Fatalf("pooled replay allocates %.1f times per point, want <= 2", allocs)
 	}
 }
-
-// TestReplayIntoAllocs pins the arena-aware copy-out: replaying into a
-// reused Result must not allocate once the destination has grown to the
-// program's high-water mark.
-func TestReplayIntoAllocs(t *testing.T) {
-	tr := allocRing(8, 20)
-	prog, err := Compile(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plat := network.Testbed(8).Platform()
-	var dst Result
-	for i := 0; i < 3; i++ {
-		if _, err := ReplayInto(plat, prog, 1, &dst); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := ReplayInto(plat, prog, 1, &dst); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 2 {
-		t.Fatalf("copy-out replay allocates %.1f times per point, want <= 2", allocs)
-	}
-}

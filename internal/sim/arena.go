@@ -46,20 +46,3 @@ func ReplayShardsSummary(p network.Platform, prog *Program, shards int) (Summary
 	}
 	return summarize(res), nil
 }
-
-// ReplayInto replays prog on p using a pooled arena — sharded when shards
-// != 1 and the platform allows it (see EffectiveShards) — and deep-copies
-// the result into dst, which must be non-nil and is returned. Reusing dst
-// across calls makes the full-result replay allocation-free once dst has
-// grown to the program's high-water mark; this is what the engine's batch
-// replays use instead of a fresh arena per point. Safe for concurrent use
-// (with distinct dst).
-func ReplayInto(p network.Platform, prog *Program, shards int, dst *Result) (*Result, error) {
-	a := arenaPool.Get().(*ReplayArena)
-	defer arenaPool.Put(a)
-	res, err := a.RunProgramShards(p, prog, shards)
-	if err != nil {
-		return nil, err
-	}
-	return res.CloneInto(dst), nil
-}

@@ -18,7 +18,7 @@ func TestPropertyComputeTimeConserved(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		tr := randomBalancedTrace(rng, 3+rng.Intn(4), 20+rng.Intn(30))
 		cfg := testCfg(8)
-		res, err := Run(cfg, tr)
+		res, err := replayTrace(cfg.Platform(), tr)
 		if err != nil {
 			return false
 		}
@@ -39,7 +39,7 @@ func TestPropertyMessageCountConserved(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		tr := randomBalancedTrace(rng, 3+rng.Intn(4), 20+rng.Intn(30))
-		res, err := Run(testCfg(8), tr)
+		res, err := replayTrace(testCfg(8).Platform(), tr)
 		if err != nil {
 			return false
 		}
@@ -68,7 +68,7 @@ func TestPropertyFinishBoundsPerRankWork(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		tr := randomBalancedTrace(rng, 3+rng.Intn(4), 15+rng.Intn(25))
 		cfg := testCfg(8)
-		res, err := Run(cfg, tr)
+		res, err := replayTrace(cfg.Platform(), tr)
 		if err != nil {
 			return false
 		}
@@ -94,7 +94,7 @@ func TestPropertyOverlapFlavoursConserveCompute(t *testing.T) {
 	// of the tracer's instruction-conservation property).
 	base := ringTrace(4, 6, 700_000, 30_000)
 	cfg := testCfg(4)
-	res, err := Run(cfg, base)
+	res, err := replayTrace(cfg.Platform(), base)
 	if err != nil {
 		t.Fatal(err)
 	}

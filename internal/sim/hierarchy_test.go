@@ -39,7 +39,7 @@ func TestFlatPlatformEquivalence(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		tr := randomBalancedTrace(rng, 3+rng.Intn(5), 30+rng.Intn(40))
 		for ci, cfg := range cfgs {
-			flat, err := Run(cfg, tr)
+			flat, err := replayTrace(cfg.Platform(), tr)
 			if err != nil {
 				t.Logf("cfg %d flat replay: %v", ci, err)
 				return false
@@ -48,7 +48,7 @@ func TestFlatPlatformEquivalence(t *testing.T) {
 				// One rank per node: both mappings are bijections, and
 				// intra==inter by construction of Config.Platform().
 				p := cfg.Platform().WithMapping(m)
-				hier, err := RunOn(p, tr)
+				hier, err := replayTrace(p, tr)
 				if err != nil {
 					t.Logf("cfg %d mapping %s: %v", ci, m, err)
 					return false
@@ -82,7 +82,7 @@ func TestHierarchyConservation(t *testing.T) {
 		st := tr.Stats()
 		for _, m := range mappings {
 			p := testPlatform(8, 2).WithMapping(m)
-			res, err := RunOn(p, tr)
+			res, err := replayTrace(p, tr)
 			if err != nil {
 				t.Logf("mapping %s: %v", m, err)
 				return false
@@ -138,7 +138,7 @@ func TestHierarchyDeadlockFree(t *testing.T) {
 				t.Logf("platform invalid: %v", err)
 				return false
 			}
-			res, err := RunOn(p, tr)
+			res, err := replayTrace(p, tr)
 			if err != nil {
 				t.Logf("mapping %s deadlocked or failed: %v", m, err)
 				return false
@@ -161,11 +161,11 @@ func TestHierarchyDeadlockFree(t *testing.T) {
 func TestMappingChangesElapsedTime(t *testing.T) {
 	tr := ringTrace(8, 10, 100_000, 200_000)
 	p := testPlatform(8, 2)
-	block, err := RunOn(p.WithMapping(network.BlockMapping()), tr)
+	block, err := replayTrace(p.WithMapping(network.BlockMapping()), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := RunOn(p.WithMapping(network.RoundRobinMapping()), tr)
+	rr, err := replayTrace(p.WithMapping(network.RoundRobinMapping()), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestIntraTransfersBypassInterconnect(t *testing.T) {
 	tr.Append(0, trace.Record{Kind: trace.KindRecv, Peer: 1, Tag: 2, Bytes: 1_000})
 	p := testPlatform(4, 2)
 	p.Buses = 1
-	res, err := RunOn(p, tr)
+	res, err := replayTrace(p, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,12 +227,12 @@ func TestIntraBusPoolSerializes(t *testing.T) {
 	}
 	p := testPlatform(4, 1) // all four ranks on one node
 	p.IntraBuses = 1
-	tight, err := RunOn(p, build())
+	tight, err := replayTrace(p, build())
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.IntraBuses = 0 // unlimited
-	loose, err := RunOn(p, build())
+	loose, err := replayTrace(p, build())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -196,12 +196,6 @@ func (a *ReplayArena) RunProgramShards(p network.Platform, prog *Program, shards
 	return a.replayShards(p, prog, n)
 }
 
-// RunProgramShards replays a compiled program on p with a fresh arena
-// across the given number of shards; the result is owned by the caller.
-func RunProgramShards(p network.Platform, prog *Program, shards int) (*Result, error) {
-	return NewArena().RunProgramShards(p, prog, shards)
-}
-
 // replayShards is the sharded analogue of replay: same reset, same
 // events, same handlers — executed by n shard workers plus the
 // coordinator under the two conservative bounds.

@@ -43,8 +43,8 @@ func programTestPlatforms(procs int) []network.Platform {
 
 // TestProgramReplayEquivalence is the compiled-core keystone: replaying a
 // precompiled program — through a fresh arena, a reused arena, and the
-// pooled summary helpers — must be byte-identical to the one-shot
-// trace-replay path on every platform class.
+// pooled summary helpers — must be byte-identical to a fresh
+// compile-and-replay of the trace on every platform class.
 func TestProgramReplayEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -56,7 +56,7 @@ func TestProgramReplayEquivalence(t *testing.T) {
 		}
 		arena := NewArena()
 		for pi, plat := range programTestPlatforms(tr.NumRanks) {
-			want, err := RunOn(plat, tr)
+			want, err := replayTrace(plat, tr)
 			if err != nil {
 				t.Logf("platform %d: one-shot replay: %v", pi, err)
 				return false
@@ -98,6 +98,42 @@ func TestProgramReplayEquivalence(t *testing.T) {
 	}
 }
 
+// TestPooledReplayMatchesFreshArena: across a bandwidth sweep, the pooled
+// scalar replays (ReplayFinish, ReplaySummary) agree point for point with
+// a full-result replay on a fresh arena — makespan and traffic split.
+func TestPooledReplayMatchesFreshArena(t *testing.T) {
+	prog, err := Compile(allocRing(8, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := programTestPlatforms(8)[2]
+	for _, bw := range []float64{50, 100, 250, 1000} {
+		plat := base.WithInterBandwidth(bw)
+		want, err := NewArena().RunProgram(plat, prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fin, err := ReplayFinish(plat, prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum, err := ReplaySummary(plat, prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ib, eb, im, em := want.TrafficSplit()
+		if fin != want.FinishSec || sum.FinishSec != want.FinishSec {
+			t.Fatalf("bw %g: pooled finish %g / %g, fresh arena %g", bw, fin, sum.FinishSec, want.FinishSec)
+		}
+		if sum.IntraBytes != ib || sum.InterBytes != eb || sum.IntraMsgs != im || sum.InterMsgs != em {
+			t.Fatalf("bw %g: pooled traffic %+v, fresh arena intra %d/%d inter %d/%d", bw, sum, ib, im, eb, em)
+		}
+		if ib == 0 || eb == 0 {
+			t.Fatalf("bw %g: traffic split %d/%d does not exercise both link classes", bw, ib, eb)
+		}
+	}
+}
+
 // TestArenaReuseByteIdentical replays A, B, A on one arena: the buffers of
 // the first A replay are recycled twice in between, and the final A replay
 // must still equal the first bit for bit.
@@ -106,43 +142,30 @@ func TestArenaReuseByteIdentical(t *testing.T) {
 	trA := randomBalancedTrace(rng, 6, 60)
 	trB := randomBalancedTrace(rng, 4, 80)
 	plat := programTestPlatforms(6)[2]
+	progA, err := Compile(trA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	progB, err := Compile(trB)
+	if err != nil {
+		t.Fatal(err)
+	}
 	arena := NewArena()
 
-	first, err := arena.RunOn(plat, trA)
+	first, err := arena.RunProgram(plat, progA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	snapshot := cloneResult(first)
-	if _, err := arena.RunOn(plat, trB); err != nil {
+	if _, err := arena.RunProgram(plat, progB); err != nil {
 		t.Fatal(err)
 	}
-	again, err := arena.RunOn(plat, trA)
+	again, err := arena.RunProgram(plat, progA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(snapshot, cloneResult(again)) {
 		t.Fatalf("arena reuse changed the result: finish %g vs %g", snapshot.FinishSec, again.FinishSec)
-	}
-}
-
-// TestArenaCompileMemo: replaying the same *trace.Trace across platform
-// variants on one arena compiles once.
-func TestArenaCompileMemo(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	tr := randomBalancedTrace(rng, 4, 30)
-	arena := NewArena()
-	if _, err := arena.RunOn(testCfg(4).Platform(), tr); err != nil {
-		t.Fatal(err)
-	}
-	prog := arena.memoProg
-	if prog == nil {
-		t.Fatal("no memoized program after RunOn")
-	}
-	if _, err := arena.RunOn(testCfg(4).Platform().WithInterBandwidth(500), tr); err != nil {
-		t.Fatal(err)
-	}
-	if arena.memoProg != prog {
-		t.Fatal("same trace recompiled on the same arena")
 	}
 }
 
@@ -167,7 +190,7 @@ func TestDeadlockReportInRange(t *testing.T) {
 	tr := trace.New("dl", "base", 2)
 	tr.Append(0, trace.Record{Kind: trace.KindRecv, Peer: 1, Tag: 9, Chunk: 2, Bytes: 8})
 	tr.Append(1, trace.Record{Kind: trace.KindRecv, Peer: 0, Tag: 4, Bytes: 8})
-	_, err := Run(testCfg(2), tr)
+	_, err := replayTrace(testCfg(2).Platform(), tr)
 	de, ok := err.(*DeadlockError)
 	if !ok {
 		t.Fatalf("want DeadlockError, got %v", err)

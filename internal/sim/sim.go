@@ -114,8 +114,8 @@ type RankStats struct {
 
 // Result is the full output of one replay.
 //
-// Results returned by the one-shot entry points (Run, RunOn, RunProgram,
-// Simulator.Run) are owned by the caller. Results returned by a
+// Results returned by the package-level RunProgram are owned by the
+// caller. Results returned by a
 // ReplayArena's methods alias the arena's reusable buffers and are only
 // valid until the arena's next replay.
 type Result struct {
@@ -133,21 +133,6 @@ type Result struct {
 	// in different orders yet produce identical bytes.
 	Comms []Comm
 }
-
-// CloneInto deep-copies r into dst, reusing dst's slice capacity, and
-// returns dst. This is the arena-aware copy-out: replay on a pooled
-// arena, CloneInto a caller-owned Result, and the steady state allocates
-// nothing beyond dst's first growth to the program's high-water mark.
-func (r *Result) CloneInto(dst *Result) *Result {
-	dst.FinishSec = r.FinishSec
-	dst.Ranks = append(dst.Ranks[:0], r.Ranks...)
-	dst.Intervals = append(dst.Intervals[:0], r.Intervals...)
-	dst.Comms = append(dst.Comms[:0], r.Comms...)
-	return dst
-}
-
-// Clone returns a caller-owned deep copy of r.
-func (r *Result) Clone() *Result { return r.CloneInto(new(Result)) }
 
 // TotalWaitSec sums receive-wait time over all ranks.
 func (r *Result) TotalWaitSec() float64 {
@@ -459,12 +444,6 @@ type rankState struct {
 // share Programs, not arenas. Results returned by arena methods alias the
 // arena's buffers and are valid only until its next replay.
 type ReplayArena struct {
-	// One-entry compile memo for RunOn: sweeps that replay the same
-	// *trace.Trace on many platform variants compile once. Callers must
-	// not mutate a trace between replays (the simulator never does).
-	memoTrace *trace.Trace
-	memoProg  *Program
-
 	plat   network.Platform
 	prog   *Program
 	nodeOf []int
@@ -536,25 +515,6 @@ type ReplayArena struct {
 // first replays and are reused afterwards.
 func NewArena() *ReplayArena { return &ReplayArena{} }
 
-// RunOn replays tr on platform p. The compiled program is memoized per
-// trace, so replaying one trace across platform variants compiles once.
-func (a *ReplayArena) RunOn(p network.Platform, tr *trace.Trace) (*Result, error) {
-	if tr == nil {
-		return nil, ErrNilTrace
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if tr != a.memoTrace {
-		prog, err := Compile(tr)
-		if err != nil {
-			return nil, err
-		}
-		a.memoTrace, a.memoProg = tr, prog
-	}
-	return a.replay(p, a.memoProg)
-}
-
 // RunProgram replays a compiled program on platform p.
 func (a *ReplayArena) RunProgram(p network.Platform, prog *Program) (*Result, error) {
 	if prog == nil {
@@ -564,75 +524,6 @@ func (a *ReplayArena) RunProgram(p network.Platform, prog *Program) (*Result, er
 		return nil, err
 	}
 	return a.replay(p, prog)
-}
-
-// ---------------------------------------------------------------------------
-// Public entry points
-
-// Simulator replays one trace on one platform. Create with New (flat
-// Config) or NewOn (hierarchical Platform), run with Run; a Simulator is
-// single-use. It owns a private arena; for replay-heavy workloads reuse a
-// ReplayArena (or the pooled ReplayFinish/ReplaySummary helpers) instead.
-type Simulator struct {
-	arena *ReplayArena
-	plat  network.Platform
-	prog  *Program
-}
-
-// New prepares a replay of tr on the flat platform cfg — the degenerate
-// one-rank-per-node case of NewOn. The trace rank count must not exceed
-// cfg.Processors. A nil trace yields ErrNilTrace.
-func New(cfg network.Config, tr *trace.Trace) (*Simulator, error) {
-	if tr == nil {
-		return nil, ErrNilTrace
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return NewOn(cfg.Platform(), tr)
-}
-
-// NewOn prepares a replay of tr on the hierarchical platform p. The trace
-// rank count must not exceed p.Processors. A nil trace yields ErrNilTrace.
-func NewOn(p network.Platform, tr *trace.Trace) (*Simulator, error) {
-	if tr == nil {
-		return nil, ErrNilTrace
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if tr.NumRanks > p.Processors {
-		return nil, fmt.Errorf("sim: trace has %d ranks but platform has %d processors", tr.NumRanks, p.Processors)
-	}
-	prog, err := Compile(tr)
-	if err != nil {
-		return nil, err
-	}
-	return &Simulator{arena: NewArena(), plat: p, prog: prog}, nil
-}
-
-// Run executes the replay and returns the reconstructed time behaviour.
-func (s *Simulator) Run() (*Result, error) {
-	return s.arena.replay(s.plat, s.prog)
-}
-
-// Run builds a Simulator for (cfg, tr) and executes the replay.
-func Run(cfg network.Config, tr *trace.Trace) (*Result, error) {
-	s, err := New(cfg, tr)
-	if err != nil {
-		return nil, err
-	}
-	return s.Run()
-}
-
-// RunOn builds a Simulator for the hierarchical platform and executes the
-// replay.
-func RunOn(p network.Platform, tr *trace.Trace) (*Result, error) {
-	s, err := NewOn(p, tr)
-	if err != nil {
-		return nil, err
-	}
-	return s.Run()
 }
 
 // RunProgram replays a compiled program on p with a fresh arena; the

@@ -23,6 +23,16 @@ func testCfg(procs int) network.Config {
 	}
 }
 
+// replayTrace compiles tr and replays it on p with a fresh arena — the
+// one-shot path (Compile, then RunProgram) every full-result caller takes.
+func replayTrace(p network.Platform, tr *trace.Trace) (*Result, error) {
+	prog, err := Compile(tr)
+	if err != nil {
+		return nil, err
+	}
+	return RunProgram(p, prog)
+}
+
 const eps = 1e-9
 
 func near(a, b float64) bool {
@@ -32,7 +42,7 @@ func near(a, b float64) bool {
 func TestSingleRankComputeOnly(t *testing.T) {
 	tr := trace.New("t", "base", 1)
 	tr.Append(0, trace.Record{Kind: trace.KindCompute, Instr: 2_000_000}) // 2ms at 1000 MIPS
-	res, err := Run(testCfg(1), tr)
+	res, err := replayTrace(testCfg(1).Platform(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +60,7 @@ func TestPingTiming(t *testing.T) {
 	tr := trace.New("t", "base", 2)
 	tr.Append(0, trace.Record{Kind: trace.KindSend, Peer: 1, Tag: 1, Bytes: 1_000_000})
 	tr.Append(1, trace.Record{Kind: trace.KindRecv, Peer: 0, Tag: 1, Bytes: 1_000_000})
-	res, err := Run(testCfg(2), tr)
+	res, err := replayTrace(testCfg(2).Platform(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +92,7 @@ func TestLateReceiverSeesNoWait(t *testing.T) {
 	tr.Append(0, trace.Record{Kind: trace.KindSend, Peer: 1, Tag: 0, Bytes: 1000})
 	tr.Append(1, trace.Record{Kind: trace.KindCompute, Instr: 50_000_000}) // 50ms
 	tr.Append(1, trace.Record{Kind: trace.KindRecv, Peer: 0, Tag: 0, Bytes: 1000})
-	res, err := Run(testCfg(2), tr)
+	res, err := replayTrace(testCfg(2).Platform(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +112,7 @@ func TestIRecvWaitPostponesBlocking(t *testing.T) {
 	tr.Append(1, trace.Record{Kind: trace.KindIRecv, Peer: 0, Tag: 2, Bytes: 1000, Handle: 1})
 	tr.Append(1, trace.Record{Kind: trace.KindCompute, Instr: 5_000_000})
 	tr.Append(1, trace.Record{Kind: trace.KindWait, Handle: 1})
-	res, err := Run(testCfg(2), tr)
+	res, err := replayTrace(testCfg(2).Platform(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +131,7 @@ func TestWaitBlocksUntilArrival(t *testing.T) {
 	tr.Append(0, trace.Record{Kind: trace.KindISend, Peer: 1, Tag: 2, Bytes: 100_000})
 	tr.Append(1, trace.Record{Kind: trace.KindIRecv, Peer: 0, Tag: 2, Bytes: 100_000, Handle: 1})
 	tr.Append(1, trace.Record{Kind: trace.KindWait, Handle: 1})
-	res, err := Run(testCfg(2), tr)
+	res, err := replayTrace(testCfg(2).Platform(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +153,7 @@ func TestWaitAll(t *testing.T) {
 	tr.Append(1, trace.Record{Kind: trace.KindIRecv, Peer: 0, Tag: 1, Bytes: 1000, Handle: 2})
 	tr.Append(1, trace.Record{Kind: trace.KindWaitAll})
 	tr.Append(1, trace.Record{Kind: trace.KindCompute, Instr: 1_000_000})
-	res, err := Run(testCfg(2), tr)
+	res, err := replayTrace(testCfg(2).Platform(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +174,7 @@ func TestNonOvertakingSameTag(t *testing.T) {
 	tr.Append(0, trace.Record{Kind: trace.KindISend, Peer: 1, Tag: 5, Bytes: 100, MsgID: 2})
 	tr.Append(1, trace.Record{Kind: trace.KindRecv, Peer: 0, Tag: 5, Bytes: 500_000, MsgID: 1})
 	tr.Append(1, trace.Record{Kind: trace.KindRecv, Peer: 0, Tag: 5, Bytes: 100, MsgID: 2})
-	res, err := Run(testCfg(2), tr)
+	res, err := replayTrace(testCfg(2).Platform(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +200,7 @@ func TestChunkStreamsMatchIndependently(t *testing.T) {
 	tr.Append(1, trace.Record{Kind: trace.KindIRecv, Peer: 0, Tag: 0, Chunk: 1, Bytes: 1000, Handle: 2})
 	tr.Append(1, trace.Record{Kind: trace.KindWait, Handle: 1})
 	tr.Append(1, trace.Record{Kind: trace.KindWait, Handle: 2})
-	res, err := Run(testCfg(2), tr)
+	res, err := replayTrace(testCfg(2).Platform(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +221,7 @@ func TestBusContentionSerializesTransfers(t *testing.T) {
 		tr.Append(i, trace.Record{Kind: trace.KindISend, Peer: 3 + i, Tag: 0, Bytes: 1_000_000})
 		tr.Append(3+i, trace.Record{Kind: trace.KindRecv, Peer: i, Tag: 0, Bytes: 1_000_000})
 	}
-	res, err := Run(cfg, tr)
+	res, err := replayTrace(cfg.Platform(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +233,7 @@ func TestBusContentionSerializesTransfers(t *testing.T) {
 		t.Fatalf("finish=%g, want %g (3 serialized transfers)", res.FinishSec, want)
 	}
 	// With 3 buses they run concurrently.
-	res2, err := Run(cfg.WithBuses(3), tr)
+	res2, err := replayTrace(cfg.WithBuses(3).Platform(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +252,7 @@ func TestOutPortContention(t *testing.T) {
 	tr.Append(0, trace.Record{Kind: trace.KindISend, Peer: 2, Tag: 0, Bytes: 1_000_000})
 	tr.Append(1, trace.Record{Kind: trace.KindRecv, Peer: 0, Tag: 0, Bytes: 1_000_000})
 	tr.Append(2, trace.Record{Kind: trace.KindRecv, Peer: 0, Tag: 0, Bytes: 1_000_000})
-	res, err := Run(cfg, tr)
+	res, err := replayTrace(cfg.Platform(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +270,7 @@ func TestRendezvousWaitsForPost(t *testing.T) {
 	tr.Append(0, trace.Record{Kind: trace.KindSend, Peer: 1, Tag: 0, Bytes: 1000})
 	tr.Append(1, trace.Record{Kind: trace.KindCompute, Instr: 5_000_000})
 	tr.Append(1, trace.Record{Kind: trace.KindRecv, Peer: 0, Tag: 0, Bytes: 1000})
-	res, err := Run(cfg, tr)
+	res, err := replayTrace(cfg.Platform(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +291,7 @@ func TestEagerMessageBelowThresholdDoesNotHandshake(t *testing.T) {
 	tr.Append(0, trace.Record{Kind: trace.KindSend, Peer: 1, Tag: 0, Bytes: 1000})
 	tr.Append(1, trace.Record{Kind: trace.KindCompute, Instr: 5_000_000})
 	tr.Append(1, trace.Record{Kind: trace.KindRecv, Peer: 0, Tag: 0, Bytes: 1000})
-	res, err := Run(cfg, tr)
+	res, err := replayTrace(cfg.Platform(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +304,7 @@ func TestDeadlockDetected(t *testing.T) {
 	tr := trace.New("t", "base", 2)
 	tr.Append(0, trace.Record{Kind: trace.KindRecv, Peer: 1, Tag: 0, Bytes: 8})
 	tr.Append(1, trace.Record{Kind: trace.KindRecv, Peer: 0, Tag: 0, Bytes: 8})
-	_, err := Run(testCfg(2), tr)
+	_, err := replayTrace(testCfg(2).Platform(), tr)
 	de, ok := err.(*DeadlockError)
 	if !ok {
 		t.Fatalf("want DeadlockError, got %v", err)
@@ -308,10 +318,10 @@ func TestRunRejectsInvalidConfig(t *testing.T) {
 	tr := trace.New("t", "base", 1)
 	cfg := testCfg(1)
 	cfg.MIPS = 0
-	if _, err := Run(cfg, tr); err == nil {
+	if _, err := replayTrace(cfg.Platform(), tr); err == nil {
 		t.Fatal("invalid config accepted")
 	}
-	if _, err := Run(testCfg(1), trace.New("t", "base", 5)); err == nil {
+	if _, err := replayTrace(testCfg(1).Platform(), trace.New("t", "base", 5)); err == nil {
 		t.Fatal("trace larger than platform accepted")
 	}
 }
@@ -320,7 +330,7 @@ func TestInfiniteBandwidth(t *testing.T) {
 	tr := trace.New("t", "base", 2)
 	tr.Append(0, trace.Record{Kind: trace.KindSend, Peer: 1, Tag: 0, Bytes: 1 << 30})
 	tr.Append(1, trace.Record{Kind: trace.KindRecv, Peer: 0, Tag: 0, Bytes: 1 << 30})
-	res, err := Run(testCfg(2).InfiniteBandwidth(), tr)
+	res, err := replayTrace(testCfg(2).InfiniteBandwidth().Platform(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +346,7 @@ func TestStatsAccounting(t *testing.T) {
 	tr.Append(0, trace.Record{Kind: trace.KindISend, Peer: 1, Tag: 1, Bytes: 77})
 	tr.Append(1, trace.Record{Kind: trace.KindRecv, Peer: 0, Tag: 0, Bytes: 123})
 	tr.Append(1, trace.Record{Kind: trace.KindRecv, Peer: 0, Tag: 1, Bytes: 77})
-	res, err := Run(testCfg(2), tr)
+	res, err := replayTrace(testCfg(2).Platform(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +366,7 @@ func TestStatsAccounting(t *testing.T) {
 
 func TestIntervalsSortedAndConsistent(t *testing.T) {
 	tr := ringTrace(4, 10, 100_000, 10_000)
-	res, err := Run(testCfg(4), tr)
+	res, err := replayTrace(testCfg(4).Platform(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +416,7 @@ func ringTrace(n, iters int, instr int64, bytes int64) *trace.Trace {
 }
 
 func TestRingCompletes(t *testing.T) {
-	res, err := Run(testCfg(8), ringTrace(8, 20, 1_000_000, 64_000))
+	res, err := replayTrace(testCfg(8).Platform(), ringTrace(8, 20, 1_000_000, 64_000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,11 +439,11 @@ func TestRingCompletes(t *testing.T) {
 
 func TestDeterministicReplay(t *testing.T) {
 	tr := ringTrace(6, 15, 500_000, 32_000)
-	a, err := Run(testCfg(6), tr)
+	a, err := replayTrace(testCfg(6).Platform(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(testCfg(6), tr)
+	b, err := replayTrace(testCfg(6).Platform(), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +503,7 @@ func TestPropertyRandomTracesComplete(t *testing.T) {
 			t.Logf("generator bug: %v", err)
 			return false
 		}
-		res, err := Run(testCfg(8), tr)
+		res, err := replayTrace(testCfg(8).Platform(), tr)
 		if err != nil {
 			t.Logf("replay failed: %v", err)
 			return false
@@ -511,8 +521,8 @@ func TestPropertyFinishMonotoneInBandwidth(t *testing.T) {
 	f := func(a uint16) bool {
 		lo := float64(a%500) + 1
 		hi := lo * 2
-		rlo, err1 := Run(testCfg(6).WithBandwidth(lo), tr)
-		rhi, err2 := Run(testCfg(6).WithBandwidth(hi), tr)
+		rlo, err1 := replayTrace(testCfg(6).WithBandwidth(lo).Platform(), tr)
+		rhi, err2 := replayTrace(testCfg(6).WithBandwidth(hi).Platform(), tr)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -527,8 +537,8 @@ func TestPropertyMoreBusesNeverSlower(t *testing.T) {
 	tr := ringTrace(6, 8, 200_000, 150_000)
 	f := func(a uint8) bool {
 		b := int(a%8) + 1
-		r1, err1 := Run(testCfg(6).WithBuses(b), tr)
-		r2, err2 := Run(testCfg(6).WithBuses(b+4), tr)
+		r1, err1 := replayTrace(testCfg(6).WithBuses(b).Platform(), tr)
+		r2, err2 := replayTrace(testCfg(6).WithBuses(b+4).Platform(), tr)
 		if err1 != nil || err2 != nil {
 			return false
 		}

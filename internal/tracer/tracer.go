@@ -208,10 +208,13 @@ type Proc struct {
 }
 
 // Trace executes app once per rank under instrumentation and returns the
-// collected run. A rank that records more than math.MaxInt32 events and
-// accesses, or allocates an Array of more than math.MaxInt32 elements,
-// fails the trace with an error.
+// collected run. A non-positive rank count, a rank that records more than
+// math.MaxInt32 events and accesses, or an Array of more than
+// math.MaxInt32 elements fails the trace with an error.
 func Trace(name string, ranks int, cfg Config, app func(p *Proc)) (*Run, error) {
+	if ranks <= 0 {
+		return nil, fmt.Errorf("tracer: %d ranks, must be positive", ranks)
+	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}

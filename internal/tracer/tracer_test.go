@@ -161,6 +161,17 @@ func TestSeqOrdersEventsAndAccesses(t *testing.T) {
 	}
 }
 
+// TestTraceRejectsNonPositiveRanks: a zero or negative world size is an
+// error, not a makeslice panic while sizing the per-rank logs.
+func TestTraceRejectsNonPositiveRanks(t *testing.T) {
+	for _, ranks := range []int{0, -2} {
+		run, err := Trace("bad", ranks, DefaultConfig(), func(p *Proc) {})
+		if err == nil || run != nil {
+			t.Fatalf("ranks=%d: run=%v err=%v, want an error", ranks, run, err)
+		}
+	}
+}
+
 func TestOversizedArrayFailsTrace(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
