@@ -83,7 +83,11 @@ func TestReductionValuesCorrect(t *testing.T) {
 	countTracked := func(rank int) (n int) {
 		log := run.Logs[rank]
 		for id := range log.ArrayLens {
-			n += len(log.Stores[id]) + len(log.Loads[id])
+			for _, col := range [][]tracer.Sweep{log.Stores[id], log.Loads[id]} {
+				for _, s := range col {
+					n += int(s.N)
+				}
+			}
 		}
 		for _, e := range log.Events {
 			switch e.Kind {

@@ -1,6 +1,7 @@
 package bt
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/pattern"
@@ -73,8 +74,10 @@ func TestFourCopyPasses(t *testing.T) {
 		t.Fatal("face-in not found")
 	}
 	loads := map[int]int{}
-	for _, acc := range run.Logs[0].Loads[inID] {
-		loads[int(acc.Idx)]++
+	for _, s := range run.Logs[0].Loads[inID] {
+		for k := range s.N {
+			loads[int(s.At(k).Idx)]++
+		}
 	}
 	// Phases with consumption: all but the very first.
 	phases := cfg.Iterations*cfg.Phases - 1
@@ -85,6 +88,25 @@ func TestFourCopyPasses(t *testing.T) {
 	}
 	if len(loads) != cfg.FaceLen {
 		t.Fatalf("loaded %d of %d elements", len(loads), cfg.FaceLen)
+	}
+}
+
+// TestSweepsCompactTheTrace pins how compactly the tracer records BT's
+// copy loops: at 16 ranks, 2,508,800 tracked accesses fit in 896 strided
+// sweeps.
+func TestSweepsCompactTheTrace(t *testing.T) {
+	run := traceIt(t, 16, DefaultConfig())
+	var sweeps, accesses int
+	for _, log := range run.Logs {
+		for _, col := range append(slices.Clone(log.Stores), log.Loads...) {
+			sweeps += len(col)
+			for _, s := range col {
+				accesses += int(s.N)
+			}
+		}
+	}
+	if accesses != 2_508_800 || sweeps != 896 {
+		t.Fatalf("%d accesses in %d sweeps, want 2508800 in 896", accesses, sweeps)
 	}
 }
 

@@ -85,7 +85,9 @@ func TestDataFlowsBetweenPartners(t *testing.T) {
 	run := traceIt(t, 2, cfg)
 	loads := 0
 	for _, col := range run.Logs[0].Loads {
-		loads += len(col)
+		for _, s := range col {
+			loads += int(s.N)
+		}
 	}
 	if loads != cfg.VectorLen {
 		t.Fatalf("rank 0 loaded %d elements, want %d (one matvec consumes the partner vector)", loads, cfg.VectorLen)

@@ -122,8 +122,10 @@ func TestBufferRevisits(t *testing.T) {
 	if eastID < 0 {
 		t.Fatal("outflow-east not found")
 	}
-	for _, acc := range run.Logs[0].Stores[eastID] {
-		stores[int(acc.Idx)]++
+	for _, s := range run.Logs[0].Stores[eastID] {
+		for k := range s.N {
+			stores[int(s.At(k).Idx)]++
+		}
 	}
 	wantMin := cfg.Iterations * cfg.AccumPasses
 	for idx, n := range stores {

@@ -62,10 +62,11 @@ func interp(xs, ys []float64, x float64) float64 {
 }
 
 // OverlapPotential evaluates Eq. 1 for an n-chunk split under the measured
-// patterns. Returns a zero-value Potential when the patterns are
-// unchunkable (the Alya case) or undefined.
+// patterns. Returns a zero-value Potential unless both production and
+// consumption are chunkable: an unchunkable side (the Alya case) has no
+// quarter or half statistics to interpolate.
 func OverlapPotential(p ProductionStats, c ConsumptionStats, chunks int) Potential {
-	if chunks < 1 || !p.Chunkable || math.IsNaN(p.FirstElem) || math.IsNaN(c.Nothing) {
+	if chunks < 1 || !p.Chunkable || !c.Chunkable || math.IsNaN(p.FirstElem) || math.IsNaN(c.Nothing) {
 		return Potential{}
 	}
 	per := make([]float64, chunks)

@@ -60,6 +60,17 @@ func TestOverlapPotentialUnchunkable(t *testing.T) {
 	}
 }
 
+// TestOverlapPotentialNeedsBothSidesChunkable: a chunkable production
+// paired with an unchunkable consumption has no consumption curve to
+// interpolate, so the potential is empty rather than NaN.
+func TestOverlapPotentialNeedsBothSidesChunkable(t *testing.T) {
+	c := ConsumptionStats{Nothing: 0.4, Quarter: math.NaN(), Half: math.NaN(), Intervals: 1, Chunkable: false}
+	pot := OverlapPotential(idealProd(), c, 4)
+	if len(pot.PerChunkPct) != 0 || pot.MinPct != 0 || pot.AvgPct != 0 {
+		t.Fatalf("potential %+v, want the zero Potential", pot)
+	}
+}
+
 func TestIdealPotentialClosedForm(t *testing.T) {
 	if got := IdealPotential(4).MinPct; math.Abs(got-75) > 1e-9 {
 		t.Fatalf("4-chunk ideal potential %.2f, want 75", got)

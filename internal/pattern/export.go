@@ -68,8 +68,8 @@ func WriteTableIIMarkdown(w io.Writer, rows []*Analysis) error {
 	return nil
 }
 
-// PerBufferRows flattens an analysis into sortable per-buffer rows, for
-// programmatic consumers of the per-buffer breakdown.
+// BufferRow is one buffer's production or consumption statistics in a
+// flat, sortable form.
 type BufferRow struct {
 	Buffer string
 	Side   Side
@@ -80,8 +80,9 @@ type BufferRow struct {
 	Chunkable bool
 }
 
-// PerBufferRows returns production then consumption rows, each sorted by
-// buffer name.
+// PerBufferRows flattens an analysis into per-buffer rows, for
+// programmatic consumers of the per-buffer breakdown. It returns
+// production then consumption rows, each sorted by buffer name.
 func (an *Analysis) PerBufferRows() []BufferRow {
 	var rows []BufferRow
 	names := make([]string, 0, len(an.Production))

@@ -104,10 +104,10 @@ type prodScratch struct {
 }
 
 // productionIntervalStats computes the per-interval order statistics of
-// final-version store times of an n-element buffer. Returns ok=false when
-// the interval has no stores (nothing was produced: the interval carries
-// no information).
-func productionIntervalStats(n int, stores []tracer.Access, start, end int64, sc *prodScratch) (first, quarter, half, whole float64, ok bool) {
+// final-version store times of an n-element buffer from the interval's
+// store pieces. Returns ok=false when the interval has no stores (nothing
+// was produced: the interval carries no information).
+func productionIntervalStats(n int, stores []tracer.Sweep, start, end int64, sc *prodScratch) (first, quarter, half, whole float64, ok bool) {
 	if len(stores) == 0 || end <= start {
 		return 0, 0, 0, 0, false
 	}
@@ -116,11 +116,14 @@ func productionIntervalStats(n int, stores []tracer.Access, start, end int64, sc
 	}
 	final, touched := sc.final[:n], sc.touched[:n]
 	clear(touched)
-	for _, a := range stores {
-		if i := int(a.Idx); i >= 0 && i < n {
-			if !touched[i] || a.T > final[i] {
-				final[i] = a.T
-				touched[i] = true
+	for _, p := range stores {
+		for k := range p.N {
+			a := p.At(k)
+			if i := int(a.Idx); i >= 0 && i < n {
+				if !touched[i] || a.T > final[i] {
+					final[i] = a.T
+					touched[i] = true
+				}
 			}
 		}
 	}
@@ -143,9 +146,12 @@ func productionIntervalStats(n int, stores []tracer.Access, start, end int64, sc
 }
 
 // consumptionIntervalStats computes how far into the interval execution
-// can progress given prefixes of the message. Returns ok=false when the
+// can progress given prefixes of the message, from the interval's load
+// pieces. Each piece costs O(1): its times never decrease and its elements
+// move monotonically, so the first load at an element index >= q is at
+// the piece's start or at one computed offset. Returns ok=false when the
 // interval has no loads at all (the buffer was not consumed).
-func consumptionIntervalStats(n int, loads []tracer.Access, start, end int64) (nothing, quarter, half float64, ok bool) {
+func consumptionIntervalStats(n int, loads []tracer.Sweep, start, end int64) (nothing, quarter, half float64, ok bool) {
 	if len(loads) == 0 || end <= start {
 		return 0, 0, 0, false
 	}
@@ -155,16 +161,10 @@ func consumptionIntervalStats(n int, loads []tracer.Access, start, end int64) (n
 	firstAny := int64(math.MaxInt64)
 	firstBeyondQ := int64(math.MaxInt64)
 	firstBeyondH := int64(math.MaxInt64)
-	for _, a := range loads {
-		if a.T < firstAny {
-			firstAny = a.T
-		}
-		if a.Idx >= qIdx && a.T < firstBeyondQ {
-			firstBeyondQ = a.T
-		}
-		if a.Idx >= hIdx && a.T < firstBeyondH {
-			firstBeyondH = a.T
-		}
+	for _, p := range loads {
+		firstAny = min(firstAny, p.T)
+		firstBeyondQ = min(firstBeyondQ, firstAtOrAbove(p, qIdx))
+		firstBeyondH = min(firstBeyondH, firstAtOrAbove(p, hIdx))
 	}
 	toPct := func(t int64) float64 {
 		if t == math.MaxInt64 {
@@ -173,6 +173,22 @@ func consumptionIntervalStats(n int, loads []tracer.Access, start, end int64) (n
 		return 100 * float64(t-start) / l
 	}
 	return toPct(firstAny), toPct(firstBeyondQ), toPct(firstBeyondH), true
+}
+
+// firstAtOrAbove returns the time of the first access of p at an element
+// index >= q, or math.MaxInt64 when it has none.
+func firstAtOrAbove(p tracer.Sweep, q int32) int64 {
+	switch {
+	case p.Idx >= q:
+		return p.T
+	case p.DIdx <= 0:
+		return math.MaxInt64 // the elements never rise to q
+	}
+	k := (int64(q) - int64(p.Idx) + int64(p.DIdx) - 1) / int64(p.DIdx)
+	if k >= int64(p.N) {
+		return math.MaxInt64
+	}
+	return p.At(int32(k)).T
 }
 
 // accum averages interval statistics.
@@ -226,18 +242,17 @@ func (a *accum) consStats() ConsumptionStats {
 	return s
 }
 
-// window splits a time-ordered access column at an interval (start, end]:
-// in holds the accesses inside it and rest those after end.
-func window(col []tracer.Access, start, end int64) (in, rest []tracer.Access) {
-	i := 0
-	for i < len(col) && col[i].T <= start {
-		i++
+// window cuts a time-ordered access column at an interval (start, end]:
+// it passes the accesses up to start and appends the pieces up to end to
+// in[:0].
+func window(col *tracer.Cursor, start, end int64, in []tracer.Sweep) []tracer.Sweep {
+	for range col.UpTo(start) {
 	}
-	k := i
-	for k < len(col) && col[k].T <= end {
-		k++
+	in = in[:0]
+	for p := range col.UpTo(end) {
+		in = append(in, p)
 	}
-	return col[i:k], col[k:]
+	return in
 }
 
 // Analyze computes the Table II statistics for one traced run.
@@ -251,16 +266,16 @@ func Analyze(run *tracer.Run) *Analysis {
 	consAcc := map[string]*accum{}
 	var appProd, appCons accum
 	var scratch prodScratch
+	var in []tracer.Sweep
 	for _, log := range run.Logs {
 		sendMarks, recvMarks := log.IntervalMarks()
 		for id, name := range log.ArrayNames {
 			n := log.ArrayLens[id]
 			// Production intervals: between consecutive sends. The
-			// columns are in time order, so each interval is a subslice.
-			stores, marks := log.Stores[id], sendMarks[id]
+			// columns are in time order, so one cursor walks each.
+			stores, marks := tracer.NewCursor(log.Stores[id]), sendMarks[id]
 			for j := 1; j < len(marks); j++ {
-				var in []tracer.Access
-				in, stores = window(stores, marks[j-1], marks[j])
+				in = window(&stores, marks[j-1], marks[j], in)
 				if f, q, h, w, ok := productionIntervalStats(n, in, marks[j-1], marks[j], &scratch); ok {
 					acc := prodAcc[name]
 					if acc == nil {
@@ -272,10 +287,9 @@ func Analyze(run *tracer.Run) *Analysis {
 				}
 			}
 			// Consumption intervals: between consecutive receives.
-			loads, marks := log.Loads[id], recvMarks[id]
+			loads, marks := tracer.NewCursor(log.Loads[id]), recvMarks[id]
 			for j := 0; j+1 < len(marks); j++ {
-				var in []tracer.Access
-				in, loads = window(loads, marks[j], marks[j+1])
+				in = window(&loads, marks[j], marks[j+1], in)
 				if nth, q, h, ok := consumptionIntervalStats(n, in, marks[j], marks[j+1]); ok {
 					acc := consAcc[name]
 					if acc == nil {
@@ -338,19 +352,23 @@ func ScatterFor(run *tracer.Run, bufferName string, rank int, side Side) *Scatte
 	// Production intervals run from one send to the next; consumption
 	// intervals from one receive to the next. Both walk the time-ordered
 	// column once.
-	marks, accesses := sendMarks[id], log.Stores[id]
+	marks, col := sendMarks[id], log.Stores[id]
 	if side == Consumption {
-		marks, accesses = recvMarks[id], log.Loads[id]
+		marks, col = recvMarks[id], log.Loads[id]
 	}
+	accesses := tracer.NewCursor(col)
+	var in []tracer.Sweep
 	for j := 0; j+1 < len(marks); j++ {
 		start, end := marks[j], marks[j+1]
-		var in []tracer.Access
-		in, accesses = window(accesses, start, end)
-		for _, a := range in {
-			sc.Points = append(sc.Points, Point{
-				RelT: float64(a.T-start) / float64(end-start),
-				Elem: int(a.Idx),
-			})
+		in = window(&accesses, start, end, in)
+		for _, p := range in {
+			for k := range p.N {
+				a := p.At(k)
+				sc.Points = append(sc.Points, Point{
+					RelT: float64(a.T-start) / float64(end-start),
+					Elem: int(a.Idx),
+				})
+			}
 		}
 		if len(in) > 0 {
 			sc.Intervals++

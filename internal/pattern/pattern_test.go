@@ -285,10 +285,12 @@ func TestScatterMatchesPerIntervalScan(t *testing.T) {
 					continue
 				}
 				added := false
-				for _, a := range col {
-					if a.T > start && a.T <= end {
-						want = append(want, Point{RelT: float64(a.T-start) / float64(end-start), Elem: int(a.Idx)})
-						added = true
+				for _, s := range col {
+					for k := range s.N {
+						if a := s.At(k); a.T > start && a.T <= end {
+							want = append(want, Point{RelT: float64(a.T-start) / float64(end-start), Elem: int(a.Idx)})
+							added = true
+						}
 					}
 				}
 				if added {

@@ -95,6 +95,27 @@ func (r *Run) BaseTrace() *trace.Trace {
 	return tr
 }
 
+// chunkRuns calls f once per run of consecutive accesses of sweep p that
+// fall in one chunk of an n-element message split into k chunks, with the
+// run's first and last access offsets. The elements of a sweep move
+// monotonically, so each run ends where the stride leaves its chunk and
+// costs one ChunkOf, however many accesses it holds. As the sweep's times
+// never decrease, access lo is the run's earliest and hi its latest.
+func chunkRuns(p Sweep, n, k int, f func(c int, lo, hi int32)) {
+	for lo := 0; lo < int(p.N); {
+		idx, hi := int(p.Idx)+lo*int(p.DIdx), int(p.N)-1
+		c := ChunkOf(n, k, idx)
+		switch cLo, cHi := ChunkBounds(n, k, c); {
+		case p.DIdx > 0:
+			hi = min(hi, lo+(cHi-1-idx)/int(p.DIdx))
+		case p.DIdx < 0:
+			hi = min(hi, lo+(idx-cLo)/int(-p.DIdx))
+		}
+		f(c, int32(lo), int32(hi))
+		lo = hi + 1
+	}
+}
+
 // msgID derives a run-unique logical message id.
 func msgID(rank int, seq int64) int64 { return int64(rank)*1_000_000_000 + seq }
 
@@ -257,11 +278,10 @@ func (r *Run) buildRankOverlap(tr *trace.Trace, rank int, log *Log, idealFor fun
 		n := log.ArrayLens[a]
 		k := r.Cfg.ChunkCount(n)
 		ideal := idealFor(log.ArrayNames[a])
-		stores, loads := log.Stores[a], log.Loads[a]
+		stores, loads := NewCursor(log.Stores[a]), NewCursor(log.Loads[a])
 
 		// Sends: chunk c leaves at its last update (real) or uniformly
 		// through the producing burst (ideal).
-		si := 0 // cursor into stores
 		for j, evIdx := range sendsOf[a] {
 			e := events[evIdx]
 			msgSeq++
@@ -282,12 +302,10 @@ func (r *Run) buildRankOverlap(tr *trace.Trace, rank int, log *Log, idealFor fun
 				for c := range last {
 					last[c] = intervalStart
 				}
-				for ; si < len(stores) && stores[si].Seq < e.Seq; si++ {
-					acc := stores[si]
-					c := ChunkOf(n, k, int(acc.Idx))
-					if acc.T > last[c] {
-						last[c] = acc.T
-					}
+				for p := range stores.BeforeSeq(e.Seq) {
+					chunkRuns(p, n, k, func(c int, _, hi int32) {
+						last[c] = max(last[c], p.At(hi).T)
+					})
 				}
 			}
 			for c := 0; c < k; c++ {
@@ -306,7 +324,6 @@ func (r *Run) buildRankOverlap(tr *trace.Trace, rank int, log *Log, idealFor fun
 		// posted; chunk c's Wait sits at its first load (real) or
 		// uniformly across the consuming burst (ideal); chunks never
 		// loaded drain at the end of the consumption interval.
-		li := 0 // cursor into loads
 		for j, inst := range recvsOf[a] {
 			post := events[inst.postIdx]
 			wait := events[inst.waitIdx]
@@ -328,15 +345,13 @@ func (r *Run) buildRankOverlap(tr *trace.Trace, rank int, log *Log, idealFor fun
 				for c := range first {
 					first[c] = intervalEnd
 				}
-				for li < len(loads) && loads[li].Seq < wait.Seq {
-					li++ // loads before this receive belong to the previous interval
+				// Loads before this receive belong to the previous interval.
+				for range loads.BeforeSeq(wait.Seq) {
 				}
-				for ; li < len(loads) && loads[li].Seq < nextPostSeq; li++ {
-					acc := loads[li]
-					c := ChunkOf(n, k, int(acc.Idx))
-					if acc.T < first[c] {
-						first[c] = acc.T
-					}
+				for p := range loads.BeforeSeq(nextPostSeq) {
+					chunkRuns(p, n, k, func(c int, lo, _ int32) {
+						first[c] = min(first[c], p.At(lo).T)
+					})
 				}
 			}
 			specs := make([]trace.Record, k)

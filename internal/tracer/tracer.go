@@ -22,16 +22,24 @@
 // communication events and tracked-collective markers, a few per message.
 // The element accesses, which outnumber them by orders of magnitude, are
 // kept as columns: Log.Stores[a] and Log.Loads[a] hold array a's accesses
-// in program order as 16-byte Access values. Every event and access
-// carries a Seq, its position in the rank's single program-order stream,
-// so the columns interleave with the events without being stored in one
-// list. A long column allocates 32 to 64 bytes per access, as the columns
-// double when full. The builders in build.go and the pattern
-// analyzer walk the columns with cursors instead of re-indexing them.
+// in program order. Every event and access carries a Seq, its position in
+// the rank's single program-order stream, so the columns interleave with
+// the events without being stored in one list.
+//
+// A column is a list of strided sweeps, not one entry per access. One
+// Sweep stands for N accesses whose time, element and Seq each advance by
+// a fixed stride, which is how kernels walk their buffers: a loop over a
+// halo is one sweep however long the halo is. Recording extends the
+// column's last sweep while an access continues all three strides, so the
+// encoding is lossless and Sweep.At recovers any access. The builders in
+// build.go and the pattern analyzer cut sweeps at event Seqs and interval
+// times with a Cursor, and fold each piece per chunk analytically instead
+// of visiting its accesses.
 package tracer
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"sync"
 
@@ -123,6 +131,90 @@ type Access struct {
 	Seq int32
 }
 
+// Sweep encodes N accesses in arithmetic progression: access k has time
+// T+k·DT, element Idx+k·DIdx and program position Seq+k·DSeq. A
+// one-access sweep has zero strides. DT is never negative and DSeq is
+// positive once N > 1, as the clock never runs backwards and Seq grows.
+type Sweep struct {
+	T, DT                int64
+	Idx, DIdx, Seq, DSeq int32
+	N                    int32
+}
+
+// At returns access k of the sweep, 0 <= k < N.
+func (s Sweep) At(k int32) Access {
+	return Access{T: s.T + int64(k)*s.DT, Idx: s.Idx + k*s.DIdx, Seq: s.Seq + k*s.DSeq}
+}
+
+// slice returns the sub-sweep of accesses [lo, hi).
+func (s Sweep) slice(lo, hi int32) Sweep {
+	a := s.At(lo)
+	s.T, s.Idx, s.Seq, s.N = a.T, a.Idx, a.Seq, hi-lo
+	return s
+}
+
+// Cursor walks a sweep column in program order, handing out the accesses
+// before a Seq or up to a time as sub-sweeps. Each cut costs one division,
+// whatever the number of accesses it passes.
+type Cursor struct {
+	col []Sweep
+	off int32 // accesses of col[0] already handed out
+}
+
+// NewCursor returns a cursor at the start of col.
+func NewCursor(col []Sweep) Cursor { return Cursor{col: col} }
+
+// BeforeSeq yields the column's next pieces whose accesses all have a Seq
+// below seq, and leaves the cursor at the first access at or past seq.
+func (c *Cursor) BeforeSeq(seq int32) iter.Seq[Sweep] {
+	return c.pieces(func(s Sweep) int64 {
+		switch {
+		case s.Seq >= seq:
+			return 0
+		case s.DSeq == 0:
+			return int64(s.N)
+		}
+		return (int64(seq) - int64(s.Seq) + int64(s.DSeq) - 1) / int64(s.DSeq)
+	})
+}
+
+// UpTo yields the column's next pieces whose accesses all have a time at
+// or before t, and leaves the cursor at the first later access.
+func (c *Cursor) UpTo(t int64) iter.Seq[Sweep] {
+	return c.pieces(func(s Sweep) int64 {
+		switch {
+		case s.T > t:
+			return 0
+		case s.DT == 0:
+			return int64(s.N)
+		}
+		return (t-s.T)/s.DT + 1
+	})
+}
+
+// pieces yields the leading accesses of each remaining sweep, as many as
+// count returns for the sweep's unread part (all when it returns more),
+// until count stops short of a whole sweep.
+func (c *Cursor) pieces(count func(rest Sweep) int64) iter.Seq[Sweep] {
+	return func(yield func(Sweep) bool) {
+		for len(c.col) > 0 {
+			rest := c.col[0].slice(c.off, c.col[0].N)
+			k := int32(min(count(rest), int64(rest.N)))
+			if k == 0 {
+				return
+			}
+			if k == rest.N {
+				c.col, c.off = c.col[1:], 0
+			} else {
+				c.off += k
+			}
+			if !yield(rest.slice(0, k)) || k < rest.N {
+				return
+			}
+		}
+	}
+}
+
 // Log is the complete instrumentation record of one rank: its
 // communication events plus per-array access columns. Within a column, T
 // is non-decreasing and Seq strictly increasing.
@@ -135,8 +227,8 @@ type Log struct {
 	// ArrayNames maps array id to the name given at NewArray.
 	ArrayNames []string
 	// Stores and Loads map array id to that array's store and load
-	// accesses in program order.
-	Stores, Loads [][]Access
+	// accesses in program order, as strided sweeps.
+	Stores, Loads [][]Sweep
 }
 
 // IntervalMarks returns, per array id, the virtual times that delimit the
@@ -229,8 +321,8 @@ func Trace(name string, ranks int, cfg Config, app func(p *Proc)) (*Run, error) 
 			FinalClock: p.clock,
 			ArrayLens:  make([]int, len(p.arrays)),
 			ArrayNames: make([]string, len(p.arrays)),
-			Stores:     make([][]Access, len(p.arrays)),
-			Loads:      make([][]Access, len(p.arrays)),
+			Stores:     make([][]Sweep, len(p.arrays)),
+			Loads:      make([][]Sweep, len(p.arrays)),
 		}
 		for i, a := range p.arrays {
 			log.ArrayLens[i] = len(a.data)
@@ -281,14 +373,25 @@ func (p *Proc) record(e Event) {
 	p.events = append(p.events, e)
 }
 
-// access appends element i's access at the current clock to col. Columns
-// double when full, so a long column allocates 32 to 64 bytes per access
-// where append's 1.25x growth of large slices would cost about 80.
-func (p *Proc) access(col []Access, i int) []Access {
-	if len(col) == cap(col) {
-		col = append(make([]Access, 0, max(2*cap(col), 32)), col...)
+// access records element i's access at the current clock in col. It
+// extends the column's last sweep when the access continues all three of
+// its strides (a one-access sweep takes its strides from the access), and
+// starts a new sweep otherwise.
+func (p *Proc) access(col []Sweep, i int) []Sweep {
+	a := Access{T: p.clock, Idx: int32(i), Seq: p.nextProgSeq()}
+	if len(col) > 0 {
+		// At's int32 arithmetic overflows only past math.MaxInt32, where
+		// it wraps negative and so matches no element index or Seq.
+		switch s := &col[len(col)-1]; {
+		case s.N == 1:
+			s.DT, s.DIdx, s.DSeq, s.N = a.T-s.T, a.Idx-s.Idx, a.Seq-s.Seq, 2
+			return col
+		case s.At(s.N) == a:
+			s.N++
+			return col
+		}
 	}
-	return append(col, Access{T: p.clock, Idx: int32(i), Seq: p.nextProgSeq()})
+	return append(col, Sweep{T: a.T, Idx: a.Idx, Seq: a.Seq, N: 1})
 }
 
 // ---------------------------------------------------------------------------
@@ -302,8 +405,8 @@ type Array struct {
 	id     int
 	name   string
 	data   []float64
-	stores []Access
-	loads  []Access
+	stores []Sweep
+	loads  []Sweep
 }
 
 // NewArray allocates a tracked buffer of n elements. More than

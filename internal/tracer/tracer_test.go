@@ -3,6 +3,7 @@ package tracer
 import (
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -119,7 +120,7 @@ func TestEventLogRecordsAccesses(t *testing.T) {
 	if len(log.Events) != 0 {
 		t.Fatalf("events=%d, want 0: accesses live in the columns", len(log.Events))
 	}
-	st, ld := log.Stores[0], log.Loads[0]
+	st, ld := expand(log.Stores[0]), expand(log.Loads[0])
 	if len(st)+len(ld) != 2 || len(st) != 1 {
 		t.Fatalf("stores=%d loads=%d, want 1 and 1", len(st), len(ld))
 	}
@@ -153,10 +154,11 @@ func TestSeqOrdersEventsAndAccesses(t *testing.T) {
 		t.Fatal(err)
 	}
 	l0, l1 := run.Logs[0], run.Logs[1]
-	if got := []int32{l0.Stores[0][0].Seq, l0.Events[0].Seq, l0.Stores[0][1].Seq}; got[0] != 0 || got[1] != 1 || got[2] != 2 {
+	st0, ld1 := expand(l0.Stores[0]), expand(l1.Loads[0])
+	if got := []int32{st0[0].Seq, l0.Events[0].Seq, st0[1].Seq}; got[0] != 0 || got[1] != 1 || got[2] != 2 {
 		t.Errorf("rank 0 store/send/store Seqs = %v, want [0 1 2]", got)
 	}
-	if got := []int32{l1.Events[0].Seq, l1.Loads[0][0].Seq}; got[0] != 0 || got[1] != 1 {
+	if got := []int32{l1.Events[0].Seq, ld1[0].Seq}; got[0] != 0 || got[1] != 1 {
 		t.Errorf("rank 1 recv/load Seqs = %v, want [0 1]", got)
 	}
 }
@@ -189,14 +191,33 @@ func TestOversizedArrayFailsTrace(t *testing.T) {
 }
 
 // TestTraceAllocationPerAccess pins the tracer's allocation per tracked
-// access, so a per-access record wider than the 16-byte column entry (or
-// a growth policy that regrows it more often) shows up as a failure.
+// access, so a recording path that stores or regrows per-access entries
+// shows up as a failure.
 func TestTraceAllocationPerAccess(t *testing.T) {
 	const n, passes = 1024, 512 // 2*n*passes = 1,048,576 accesses
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	run, err := Trace("alloc", 1, DefaultConfig(), func(p *Proc) {
+	run, err := Trace("alloc", 1, DefaultConfig(), copyPasses(n, passes))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	accesses := len(expand(run.Logs[0].Stores[0])) + len(expand(run.Logs[0].Loads[0]))
+	if accesses != 2*n*passes {
+		t.Fatalf("recorded %d accesses, want %d", accesses, 2*n*passes)
+	}
+	perAccess := float64(after.TotalAlloc-before.TotalAlloc) / float64(accesses)
+	t.Logf("%.1f B allocated per tracked access", perAccess)
+	if perAccess > 100 {
+		t.Fatalf("%.1f B allocated per tracked access, want <= 100", perAccess)
+	}
+}
+
+// copyPasses stores then loads every element of an n-element buffer, in
+// order, passes times.
+func copyPasses(n, passes int) func(p *Proc) {
+	return func(p *Proc) {
 		a := p.NewArray("buf", n)
 		for it := 0; it < passes; it++ {
 			for i := 0; i < n; i++ {
@@ -206,20 +227,38 @@ func TestTraceAllocationPerAccess(t *testing.T) {
 				_ = a.Load(i)
 			}
 		}
-	})
-	runtime.ReadMemStats(&after)
+	}
+}
+
+// TestCopyPassesRecordOneSweepEach pins the compactness of the recording:
+// each pass over the buffer of TestTraceAllocationPerAccess's loop is one
+// store sweep and one load sweep of n accesses.
+func TestCopyPassesRecordOneSweepEach(t *testing.T) {
+	const n, passes = 1024, 512
+	run, err := Trace("sweeps", 1, DefaultConfig(), copyPasses(n, passes))
 	if err != nil {
 		t.Fatal(err)
 	}
-	accesses := len(run.Logs[0].Stores[0]) + len(run.Logs[0].Loads[0])
-	if accesses != 2*n*passes {
-		t.Fatalf("recorded %d accesses, want %d", accesses, 2*n*passes)
+	st, ld := run.Logs[0].Stores[0], run.Logs[0].Loads[0]
+	if len(st)+len(ld) != 2*passes {
+		t.Fatalf("%d store and %d load sweeps, want %d in all", len(st), len(ld), 2*passes)
 	}
-	perAccess := float64(after.TotalAlloc-before.TotalAlloc) / float64(accesses)
-	t.Logf("%.1f B allocated per tracked access", perAccess)
-	if perAccess > 100 {
-		t.Fatalf("%.1f B allocated per tracked access, want <= 100", perAccess)
+	for i, s := range append(slices.Clone(st), ld...) {
+		if s.N != n || s.Idx != 0 || s.DIdx != 1 || s.DT != 1 || s.DSeq != 1 {
+			t.Fatalf("sweep %d = %+v, want %d accesses of elements 0, 1, ... one time unit apart", i, s, n)
+		}
 	}
+}
+
+// expand lists a column's accesses one by one, in program order.
+func expand(col []Sweep) []Access {
+	var out []Access
+	for _, s := range col {
+		for k := range s.N {
+			out = append(out, s.At(k))
+		}
+	}
+	return out
 }
 
 func TestTrackedSendRecvMovesData(t *testing.T) {
