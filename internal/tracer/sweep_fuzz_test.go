@@ -333,8 +333,8 @@ func checkColumns(t *testing.T, run *tracer.Run, logs []*kernelLog) [][2][][]tra
 }
 
 // ---------------------------------------------------------------------------
-// Per-access reference builder: the overlap builder as it read one column
-// entry per access.
+// Per-access reference builder: the overlapped traces built by folding
+// one access at a time into the chunk schedule.
 
 type refSynthOp struct {
 	t     int64
