@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/apps"
@@ -597,6 +598,36 @@ func BenchmarkTracerInstrumentation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkTracerApps traces whole application kernels, where recording
+// the tracked accesses dominates, and reports the cost per recorded access.
+func BenchmarkTracerApps(b *testing.B) {
+	for _, name := range []string{"bt", "sweep3d"} {
+		b.Run(fmt.Sprintf("%s/%d", name, benchRanks), func(b *testing.B) {
+			entry, ok := apps.ByName(name, benchRanks)
+			if !ok {
+				b.Fatalf("unknown app %q", name)
+			}
+			var run *tracer.Run
+			b.ReportAllocs()
+			for b.Loop() {
+				var err error
+				if run, err = tracer.Trace(name, benchRanks, tracer.DefaultConfig(), entry.App.Kernel); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var accesses int64
+			for _, log := range run.Logs {
+				for _, col := range append(slices.Clone(log.Stores), log.Loads...) {
+					for _, s := range col {
+						accesses += int64(s.N)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*accesses), "ns/access")
+		})
 	}
 }
 

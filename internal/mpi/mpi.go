@@ -18,6 +18,7 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 )
@@ -55,14 +56,22 @@ var _ PointToPoint = (*Proc)(nil)
 type World struct {
 	size    int
 	inboxes []*inbox
+	// abort is closed once, by Run, when a rank fails; it unblocks the
+	// ranks waiting for a message the failed rank will never send.
+	abort     chan struct{}
+	abortOnce sync.Once
 }
+
+// errAborted is the sentinel panic that unwinds a rank blocked in Wait
+// after another rank failed. Run reports the failure, never the sentinel.
+var errAborted = errors.New("mpi: rank unwound after another rank failed")
 
 // NewWorld creates a world of n ranks.
 func NewWorld(n int) (*World, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("mpi: world size %d, must be positive", n)
 	}
-	w := &World{size: n, inboxes: make([]*inbox, n)}
+	w := &World{size: n, inboxes: make([]*inbox, n), abort: make(chan struct{})}
 	for i := range w.inboxes {
 		w.inboxes[i] = newInbox()
 	}
@@ -76,10 +85,9 @@ func (w *World) Proc(rank int) *Proc {
 
 // Run spawns fn once per rank, each on its own goroutine, and waits for all
 // of them. A panic in any rank is recovered and reported as an error naming
-// the rank; the remaining ranks are still waited for (they may deadlock
-// only if they depended on the failed rank, in which case the program hangs
-// — an accepted property of a real MPI job as well, kept simple here
-// because our kernels are deterministic).
+// the rank. It also aborts the world: ranks blocked waiting for a message,
+// or that wait later, unwind instead of hanging on the failed rank, and
+// Run returns the failure of the lowest failed rank.
 func Run(n int, fn func(p *Proc)) error {
 	w, err := NewWorld(n)
 	if err != nil {
@@ -92,8 +100,9 @@ func Run(n int, fn func(p *Proc)) error {
 		go func(rank int) {
 			defer wg.Done()
 			defer func() {
-				if rec := recover(); rec != nil {
+				if rec := recover(); rec != nil && rec != errAborted {
 					errs[rank] = fmt.Errorf("mpi: rank %d panicked: %v", rank, rec)
+					w.abortOnce.Do(func() { close(w.abort) })
 				}
 			}()
 			fn(w.Proc(rank))
@@ -179,11 +188,20 @@ func (p *Proc) Recv(buf []float64, src, tag int) {
 
 // Request represents an outstanding non-blocking operation.
 type Request struct {
-	done chan struct{}
+	done  chan struct{}
+	abort <-chan struct{} // the world's; nil for a completed send
 }
 
-// Wait blocks until the operation completes.
-func (r *Request) Wait() { <-r.done }
+// Wait blocks until the operation completes. If another rank of the Run
+// fails first, Wait unwinds the calling rank with a panic that Run
+// absorbs.
+func (r *Request) Wait() {
+	select {
+	case <-r.done:
+	case <-r.abort:
+		panic(errAborted)
+	}
+}
 
 // Done reports whether the operation has completed without blocking.
 func (r *Request) Done() bool {
@@ -214,7 +232,7 @@ func (p *Proc) Irecv(buf []float64, src, tag int) *Request {
 	}
 	ib := p.world.inboxes[p.rank]
 	k := matchKey{src: src, tag: tag}
-	req := &Request{done: make(chan struct{})}
+	req := &Request{done: make(chan struct{}), abort: p.world.abort}
 	ib.mu.Lock()
 	if q := ib.unexpected[k]; len(q) > 0 {
 		m := q[0]

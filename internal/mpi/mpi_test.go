@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestNewWorldRejectsNonPositive(t *testing.T) {
@@ -139,6 +140,38 @@ func TestRunReportsPanics(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("panic not reported")
+	}
+}
+
+// TestFailedRankUnblocksReceivers: a rank that fails before its sends
+// must fail the Run with its own error, not hang the ranks waiting for
+// those messages, whether already blocked in Recv or waiting on an Irecv
+// later. The failed rank is the last, so the unwound ranks come first.
+func TestFailedRankUnblocksReceivers(t *testing.T) {
+	failed := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		done <- Run(3, func(p *Proc) {
+			switch p.Rank() {
+			case 0:
+				p.Recv(make([]float64, 1), 2, 7)
+			case 1:
+				req := p.Irecv(make([]float64, 1), 2, 8)
+				<-failed
+				req.Wait()
+			case 2:
+				defer close(failed)
+				panic("boom")
+			}
+		})
+	}()
+	select {
+	case err := <-done:
+		if err == nil || err.Error() != "mpi: rank 2 panicked: boom" {
+			t.Fatalf("err = %v, want rank 2's panic", err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("Run still blocked 3 s after rank 2 failed")
 	}
 }
 

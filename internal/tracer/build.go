@@ -37,6 +37,21 @@ import (
 func (r *Run) BaseTrace() *trace.Trace {
 	tr := trace.New(r.Name, "base", r.NumRanks)
 	for rank, log := range r.Logs {
+		// Every comm event becomes one record, plus a final WaitAll when
+		// any receive was non-blocking.
+		n := computeRecords(nil, log.Events, log.FinalClock)
+		anyIRecv := false
+		for _, e := range log.Events {
+			if isComm(e.Kind) {
+				n++
+			}
+			anyIRecv = anyIRecv || e.Kind == EvIRecvPost
+		}
+		if anyIRecv {
+			n++
+		}
+		tr.Ranks[rank].Records = make([]trace.Record, 0, n)
+
 		var lastT int64
 		var msgSeq int64
 		emitCompute := func(to int64) {
@@ -45,7 +60,6 @@ func (r *Run) BaseTrace() *trace.Trace {
 				lastT = to
 			}
 		}
-		anyIRecv := false
 		for _, e := range log.Events {
 			switch e.Kind {
 			case EvSend, EvSendRaw:
@@ -75,7 +89,6 @@ func (r *Run) BaseTrace() *trace.Trace {
 			case EvIRecvPost:
 				emitCompute(e.T)
 				msgSeq++
-				anyIRecv = true
 				tr.Append(rank, trace.Record{
 					Kind: trace.KindIRecv, Peer: e.Peer, Tag: e.Tag,
 					Bytes:  int64(e.Elems) * r.Cfg.ElemBytes,
@@ -93,6 +106,42 @@ func (r *Run) BaseTrace() *trace.Trace {
 		}
 	}
 	return tr
+}
+
+// isComm reports whether an event is a transfer, a receive post or a
+// wait: every event but a tracked collective's markers. The merge walks
+// end a compute burst at each of them.
+func isComm(k EvKind) bool { return k != EvCollSend && k != EvCollRecv }
+
+// computeRecords counts the compute records of a merge walk over the
+// times of synth, sorted, and of events' comm events, then the final
+// clock. emitCompute emits one only when the time passes the end of the
+// last burst, so the walk, visiting the times in order, emits one per
+// distinct positive time. A gated synthetic op the walk holds back past
+// its time waits behind a comm event at that very time, so it adds none.
+func computeRecords(synth []synthOp, events []Event, final int64) int {
+	n, lastT := 0, int64(0)
+	burstTo := func(t int64) {
+		if t > lastT {
+			n++
+			lastT = t
+		}
+	}
+	si := 0
+	for _, e := range events {
+		if !isComm(e.Kind) {
+			continue
+		}
+		for ; si < len(synth) && synth[si].t <= e.T; si++ {
+			burstTo(synth[si].t)
+		}
+		burstTo(e.T)
+	}
+	for _, op := range synth[si:] {
+		burstTo(op.t)
+	}
+	burstTo(final)
+	return n
 }
 
 // chunkRuns calls f once per run of consecutive accesses of sweep p that
@@ -176,13 +225,17 @@ type synthOp struct {
 
 func (r *Run) buildOverlap(flavor string, idealFor func(bufferName string) bool) *trace.Trace {
 	tr := trace.New(r.Name, flavor, r.NumRanks)
+	var synth []synthOp // one rank's schedule at a time
 	for rank, log := range r.Logs {
-		r.buildRankOverlap(tr, rank, log, idealFor)
+		synth = r.buildRankOverlap(tr, rank, log, idealFor, synth[:0])
 	}
 	return tr
 }
 
-func (r *Run) buildRankOverlap(tr *trace.Trace, rank int, log *Log, idealFor func(string) bool) {
+// buildRankOverlap emits one rank's overlapped records. It plans the
+// rank's synthetic ops in synth's storage and returns that storage for
+// the next rank to reuse.
+func (r *Run) buildRankOverlap(tr *trace.Trace, rank int, log *Log, idealFor func(string) bool, synth []synthOp) []synthOp {
 	events := log.Events
 
 	// Pass 0: index per-array send/receive event positions and the
@@ -202,6 +255,7 @@ func (r *Run) buildRankOverlap(tr *trace.Trace, rank int, log *Log, idealFor fun
 	pendingWait := map[int]int{} // tracked irecv handle -> recvsOf position (by array)
 	pendingArr := map[int]int{}  // tracked irecv handle -> array id
 	var commTimes []int64        // times of all comm events in program order
+	nRaw := 0                    // untracked transfers, kept as they are
 	commIdxBefore := make([]int, len(events))
 	for i, e := range events {
 		commIdxBefore[i] = len(commTimes)
@@ -226,6 +280,7 @@ func (r *Run) buildRankOverlap(tr *trace.Trace, rank int, log *Log, idealFor fun
 			commTimes = append(commTimes, e.T)
 		case EvSendRaw, EvRecvRaw:
 			commTimes = append(commTimes, e.T)
+			nRaw++
 		}
 	}
 	// Burst boundaries for the ideal variant: the producing/consuming
@@ -268,10 +323,10 @@ func (r *Run) buildRankOverlap(tr *trace.Trace, rank int, log *Log, idealFor fun
 	for a := 0; a < nArr; a++ {
 		nSynth += (len(sendsOf[a]) + len(recvsOf[a])) * r.Cfg.ChunkCount(log.ArrayLens[a])
 	}
-	synth := make([]synthOp, 0, nSynth)
+	synth = slices.Grow(synth, nSynth)
 	irecvAt := make([][]trace.Record, len(events)) // original event index -> chunk irecvs
 	sched := make([]int64, max(r.Cfg.Chunks, 1))   // per-chunk times of one message
-	handleCounter := 0
+	handleCounter := 0                             // also the number of chunk IRecvs
 	var msgSeq int64
 
 	for a := 0; a < nArr; a++ {
@@ -373,6 +428,11 @@ func (r *Run) buildRankOverlap(tr *trace.Trace, rank int, log *Log, idealFor fun
 	}
 	slices.SortStableFunc(synth, func(x, y synthOp) int { return cmp.Compare(x.t, y.t) })
 
+	// Pass 2 emits every synthetic op, chunk IRecv and raw transfer, the
+	// compute bursts between them and a final WaitAll.
+	tr.Ranks[rank].Records = make([]trace.Record, 0,
+		computeRecords(synth, events, log.FinalClock)+len(synth)+handleCounter+nRaw+1)
+
 	// Pass 2: merge the original comm events with the synthetic schedule,
 	// splitting compute bursts at every injection point.
 	var lastT int64
@@ -437,4 +497,5 @@ func (r *Run) buildRankOverlap(tr *trace.Trace, rank int, log *Log, idealFor fun
 	flush(log.FinalClock, len(events))
 	emitCompute(log.FinalClock)
 	tr.Append(rank, trace.Record{Kind: trace.KindWaitAll})
+	return synth
 }

@@ -51,11 +51,20 @@ func FuzzSweepsMatchAccesses(f *testing.F) {
 		for i := 0; i < len(names); i += 2 {
 			selective[names[i]] = true
 		}
-		if got, want := digest(run.OverlapReal()), digest(refOverlap(run, cols, "overlap-real", nil)); got != want {
+		realTr, selTr := run.OverlapReal(), run.OverlapSelective(selective)
+		if got, want := digest(realTr), digest(refOverlap(run, cols, "overlap-real", nil)); got != want {
 			t.Errorf("overlap-real digest %s, per-access reference %s", got, want)
 		}
-		if got, want := digest(run.OverlapSelective(selective)), digest(refOverlap(run, cols, "overlap-selective", selective)); got != want {
+		if got, want := digest(selTr), digest(refOverlap(run, cols, "overlap-selective", selective)); got != want {
 			t.Errorf("overlap-selective digest %s, per-access reference %s", got, want)
+		}
+		// The builders size each rank's records exactly before filling them.
+		for _, tr := range []*trace.Trace{run.BaseTrace(), realTr, selTr} {
+			for r, rt := range tr.Ranks {
+				if len(rt.Records) != cap(rt.Records) {
+					t.Errorf("%s rank %d: %d records in a slice sized for %d", tr.Flavor, r, len(rt.Records), cap(rt.Records))
+				}
+			}
 		}
 
 		if got, want := describe(pattern.Analyze(run)), describe(refAnalyze(run, cols)); got != want {

@@ -29,12 +29,19 @@
 // A column is a list of strided sweeps, not one entry per access. One
 // Sweep stands for N accesses whose time, element and Seq each advance by
 // a fixed stride, which is how kernels walk their buffers: a loop over a
-// halo is one sweep however long the halo is. Recording extends the
-// column's last sweep while an access continues all three strides, so the
-// encoding is lossless and Sweep.At recovers any access. The builders in
-// build.go and the pattern analyzer cut sweeps at event Seqs and interval
-// times with a Cursor, and fold each piece per chunk analytically instead
-// of visiting its accesses.
+// halo is one sweep however long the halo is. While a rank runs, each
+// column holds its closed sweeps, one open sweep and the access that would
+// extend it. An access matching that prediction costs three compares and
+// four adds. Any other access goes to a slow path: the second access of a
+// sweep fixes its strides, and a stride break closes the open sweep and
+// opens a new one. The open sweep joins the column when the rank's kernel
+// returns. The encoding is lossless and Sweep.At recovers any access.
+//
+// The builders in build.go and the pattern analyzer cut sweeps at event
+// Seqs and interval times with a Cursor, and fold each piece per chunk
+// analytically instead of visiting its accesses. The builders count each
+// rank's records before emitting them, so every record slice is allocated
+// once at its final size.
 package tracer
 
 import (
@@ -289,10 +296,13 @@ func (r *Run) WithChunks(k int) *Run {
 
 // Proc is the instrumented per-rank endpoint handed to application kernels.
 type Proc struct {
-	mp       *mpi.Proc
-	cfg      Config
-	clock    int64
-	progSeq  int32 // next program-order position
+	mp    *mpi.Proc
+	cfg   Config
+	clock int64
+	// progSeq is the next program-order position. Accesses advance it
+	// unchecked; record and the end of the rank's kernel fail the trace
+	// once it has passed math.MaxInt32 positions.
+	progSeq  int64
 	events   []Event
 	arrays   []*Array
 	seq      int // collective sequence counter
@@ -315,6 +325,9 @@ func Trace(name string, ranks int, cfg Config, app func(p *Proc)) (*Run, error) 
 	err := mpi.Run(ranks, func(mp *mpi.Proc) {
 		p := &Proc{mp: mp, cfg: cfg}
 		app(p)
+		if p.progSeq > math.MaxInt32 {
+			p.overflow()
+		}
 		log := &Log{
 			Rank:       mp.Rank(),
 			Events:     p.events,
@@ -327,8 +340,8 @@ func Trace(name string, ranks int, cfg Config, app func(p *Proc)) (*Run, error) 
 		for i, a := range p.arrays {
 			log.ArrayLens[i] = len(a.data)
 			log.ArrayNames[i] = a.name
-			log.Stores[i] = a.stores
-			log.Loads[i] = a.loads
+			log.Stores[i] = a.stores.sweeps()
+			log.Loads[i] = a.loads.sweeps()
 		}
 		mu.Lock()
 		run.Logs[mp.Rank()] = log
@@ -357,41 +370,76 @@ func (p *Proc) Compute(n int64) {
 	}
 }
 
-// nextProgSeq hands out the next program-order position.
-func (p *Proc) nextProgSeq() int32 {
-	if p.progSeq == math.MaxInt32 {
-		panic(fmt.Sprintf("tracer: rank %d recorded more than %d events and accesses", p.Rank(), math.MaxInt32))
-	}
-	s := p.progSeq
-	p.progSeq++
-	return s
+// overflow fails the trace of a rank that recorded more than
+// math.MaxInt32 events and accesses, whose Seqs no longer fit an int32.
+func (p *Proc) overflow() {
+	panic(fmt.Sprintf("tracer: rank %d recorded more than %d events and accesses", p.Rank(), math.MaxInt32))
 }
 
 func (p *Proc) record(e Event) {
+	if p.progSeq >= math.MaxInt32 {
+		p.overflow()
+	}
 	e.T = p.clock
-	e.Seq = p.nextProgSeq()
+	e.Seq = int32(p.progSeq)
+	p.progSeq++
 	p.events = append(p.events, e)
 }
 
-// access records element i's access at the current clock in col. It
-// extends the column's last sweep when the access continues all three of
-// its strides (a one-access sweep takes its strides from the access), and
-// starts a new sweep otherwise.
-func (p *Proc) access(col []Sweep, i int) []Sweep {
-	a := Access{T: p.clock, Idx: int32(i), Seq: p.nextProgSeq()}
-	if len(col) > 0 {
-		// At's int32 arithmetic overflows only past math.MaxInt32, where
-		// it wraps negative and so matches no element index or Seq.
-		switch s := &col[len(col)-1]; {
-		case s.N == 1:
-			s.DT, s.DIdx, s.DSeq, s.N = a.T-s.T, a.Idx-s.Idx, a.Seq-s.Seq, 2
-			return col
-		case s.At(s.N) == a:
-			s.N++
-			return col
-		}
+// column records one array's stores or loads: the closed sweeps, the open
+// sweep that accesses are extending, and the access that would extend it.
+type column struct {
+	closed []Sweep
+	open   Sweep // N == 0 before the first access
+	// nextT, nextIdx and nextSeq predict the access that continues all
+	// three strides of open. nextSeq is -1, which no access has, while
+	// open holds fewer than two accesses.
+	nextT   int64
+	nextIdx int32
+	nextSeq int64
+}
+
+// access records element i's access at the current clock. An access that
+// continues the open sweep's strides, the common case, costs three
+// compares and four adds; anything else goes to the column's slow path.
+func (p *Proc) access(c *column, i int) {
+	seq := p.progSeq
+	p.progSeq++
+	if c.nextSeq == seq && c.nextT == p.clock && c.nextIdx == int32(i) {
+		c.open.N++
+		c.nextT += c.open.DT
+		c.nextIdx += c.open.DIdx
+		c.nextSeq += int64(c.open.DSeq)
+		return
 	}
-	return append(col, Sweep{T: a.T, Idx: a.Idx, Seq: a.Seq, N: 1})
+	c.miss(p.clock, int32(i), seq)
+}
+
+// miss records an access the prediction did not match. The second access
+// of a sweep fixes its strides; any later mismatch closes the open sweep
+// and starts a one-access sweep. A predicted index past math.MaxInt32
+// wraps negative in int32 and so matches no element; a Seq past it fails
+// the trace.
+func (c *column) miss(t int64, idx int32, seq int64) {
+	switch {
+	case c.open.N == 1:
+		s := &c.open
+		s.DT, s.DIdx, s.DSeq, s.N = t-s.T, idx-s.Idx, int32(seq)-s.Seq, 2
+		c.nextT, c.nextIdx, c.nextSeq = t+s.DT, idx+s.DIdx, seq+int64(s.DSeq)
+		return
+	case c.open.N > 1:
+		c.closed = append(c.closed, c.open)
+	}
+	c.open = Sweep{T: t, Idx: idx, Seq: int32(seq), N: 1}
+	c.nextSeq = -1
+}
+
+// sweeps returns the column's sweeps in program order, the open one last.
+func (c *column) sweeps() []Sweep {
+	if c.open.N == 0 {
+		return c.closed
+	}
+	return append(c.closed, c.open)
 }
 
 // ---------------------------------------------------------------------------
@@ -405,8 +453,8 @@ type Array struct {
 	id     int
 	name   string
 	data   []float64
-	stores []Sweep
-	loads  []Sweep
+	stores column
+	loads  column
 }
 
 // NewArray allocates a tracked buffer of n elements. More than
@@ -415,7 +463,8 @@ func (p *Proc) NewArray(name string, n int) *Array {
 	if n > math.MaxInt32 {
 		panic(fmt.Sprintf("tracer: array %q has %d elements, more than %d", name, n, math.MaxInt32))
 	}
-	a := &Array{p: p, id: len(p.arrays), name: name, data: make([]float64, n)}
+	a := &Array{p: p, id: len(p.arrays), name: name, data: make([]float64, n),
+		stores: column{nextSeq: -1}, loads: column{nextSeq: -1}}
 	p.arrays = append(p.arrays, a)
 	return a
 }
@@ -431,7 +480,7 @@ func (a *Array) Name() string { return a.name }
 func (a *Array) Load(i int) float64 {
 	v := a.data[i]
 	a.p.clock += a.p.cfg.LoadCost
-	a.loads = a.p.access(a.loads, i)
+	a.p.access(&a.loads, i)
 	return v
 }
 
@@ -440,7 +489,7 @@ func (a *Array) Load(i int) float64 {
 func (a *Array) Store(i int, v float64) {
 	a.data[i] = v
 	a.p.clock += a.p.cfg.StoreCost
-	a.stores = a.p.access(a.stores, i)
+	a.p.access(&a.stores, i)
 }
 
 // Data exposes the raw storage without instrumentation. Use it only for

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/mpi"
 	"repro/internal/trace"
@@ -187,6 +188,75 @@ func TestOversizedArrayFailsTrace(t *testing.T) {
 	// The 16 GiB buffer must be refused before it is allocated.
 	if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
 		t.Fatalf("allocated %d bytes before refusing the array", d)
+	}
+}
+
+// TestFailingRankFailsTrace: a rank that fails before its send must fail
+// the trace with its own error, not leave its receiver blocked forever.
+func TestFailingRankFailsTrace(t *testing.T) {
+	done := make(chan error, 1)
+	go func() {
+		_, err := Trace("fail", 2, DefaultConfig(), func(p *Proc) {
+			if p.Rank() == 1 {
+				p.Send(0, 0, p.NewArray("huge", 1<<31))
+				return
+			}
+			p.Recv(p.NewArray("in", 1), 1, 0)
+		})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.HasPrefix(err.Error(), `mpi: rank 1 panicked: tracer: array "huge"`) {
+			t.Fatalf("err = %v, want rank 1's element-count limit", err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("Trace still blocked 3 s after rank 1 failed")
+	}
+}
+
+// TestProgramOrderOverflowFailsTrace pins the limit of math.MaxInt32
+// events and accesses per rank, reached through the access fast path and
+// through an event, and that a rank may record exactly that many.
+func TestProgramOrderOverflowFailsTrace(t *testing.T) {
+	const want = "tracer: rank 0 recorded more than 2147483647 events and accesses"
+	pastEvent := false
+	cases := []struct {
+		name    string
+		kernel  func(p *Proc)
+		wantErr bool
+	}{
+		{"access", func(p *Proc) {
+			a := p.NewArray("buf", 4)
+			p.progSeq = math.MaxInt32 - 2
+			for i := range 3 { // the third store extends the open sweep
+				a.Store(i, 1)
+			}
+		}, true},
+		{"event", func(p *Proc) {
+			in, out := p.NewArray("in", 1), p.NewArray("out", 1)
+			p.progSeq = math.MaxInt32 - 1
+			p.AllreduceTracked(in, out, mpi.OpSum) // records two markers
+			pastEvent = true
+		}, true},
+		{"exactly the limit", func(p *Proc) {
+			a := p.NewArray("buf", 4)
+			p.progSeq = math.MaxInt32 - 2
+			a.Store(0, 1)
+			a.Store(1, 1)
+		}, false},
+	}
+	for _, c := range cases {
+		_, err := Trace("overflow", 1, DefaultConfig(), c.kernel)
+		switch {
+		case c.wantErr && (err == nil || !strings.Contains(err.Error(), want)):
+			t.Errorf("%s: err = %v, want %q", c.name, err, want)
+		case !c.wantErr && err != nil:
+			t.Errorf("%s: err = %v, want none", c.name, err)
+		}
+	}
+	if pastEvent {
+		t.Error("the rank ran on past the event that overflowed")
 	}
 }
 
