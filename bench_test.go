@@ -464,6 +464,45 @@ func BenchmarkSimulatorReplay(b *testing.B) {
 	b.ReportMetric(float64(records), "records/replay")
 }
 
+// BenchmarkSimCompile measures sim.Compile on the largest traces of the
+// cold report path: the three flavor traces of pop at 32 ranks and bt at
+// 16, at 8 chunks per message. Each iteration compiles all three; the
+// traces are built once, outside the timer. Run with -benchmem: compile
+// allocates every program it returns.
+func BenchmarkSimCompile(b *testing.B) {
+	for _, c := range []struct {
+		app   string
+		ranks int
+	}{{"pop", 32}, {"bt", 16}} {
+		b.Run(fmt.Sprintf("%s/%d", c.app, c.ranks), func(b *testing.B) {
+			entry, ok := apps.ByName(c.app, c.ranks)
+			if !ok {
+				b.Fatalf("unknown app %q", c.app)
+			}
+			cfg := tracer.DefaultConfig()
+			cfg.Chunks = 8
+			run, err := tracer.Trace(c.app, c.ranks, cfg, entry.App.Kernel)
+			if err != nil {
+				b.Fatal(err)
+			}
+			trs := []*trace.Trace{run.BaseTrace(), run.OverlapReal(), run.OverlapIdeal()}
+			records := 0
+			for _, tr := range trs {
+				records += tr.Stats().Records
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				for _, tr := range trs {
+					if _, err := sim.Compile(tr); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*int64(records)), "ns/record")
+		})
+	}
+}
+
 // BenchmarkSimCompiledReplay measures the steady-state sweep path: one
 // compiled program replayed on a warm arena — the cost of every sweep
 // point after the first. allocs/op must stay ~0: the zero-alloc property

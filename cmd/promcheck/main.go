@@ -11,7 +11,8 @@
 //	  'sim_pdes_replays_total==0'
 //
 // A bare family name sums every labelled sample of that family
-// (scenario_stage_seconds_count matches all four stages). Supported
+// (scenario_stage_seconds_count matches all six stages: trace, compile,
+// replay, patterns, copyout and emit). Supported
 // operators: ==, !=, >=, <=, >, <. With -list the parsed samples print
 // instead, one `key value` per line — handy for discovering keys.
 //

@@ -228,8 +228,10 @@ const (
 	OutputTraffic OutputKind = "traffic"
 	// OutputWhatIf runs the per-buffer idealization ranking per point.
 	OutputWhatIf OutputKind = "whatif"
-	// OutputReport runs the full three-flavor analysis (wire report,
-	// patterns included) per point.
+	// OutputReport runs the three-flavor analysis per point and keeps
+	// its wire report (patterns included): summary replays of the
+	// memoized flavor programs, byte-identical to AnalyzeRun's Report
+	// through Report.Wire.
 	OutputReport OutputKind = "report"
 )
 

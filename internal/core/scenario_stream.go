@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/metrics"
+	"repro/internal/pattern"
 	"repro/internal/sim"
 )
 
@@ -124,126 +126,8 @@ func RunScenarioStream(ctx context.Context, eng *engine.Engine, spec Scenario, y
 	em := &streamEmitter{ctx: ctx, sc: &sc, grid: grid, digests: digests, cached: cached, yield: yield}
 
 	switch sc.Output {
-	case OutputFinish, OutputTraffic:
-		// Distinct (program, platform) pairs replay once however many
-		// grid points share them: a chunks axis varies only the
-		// overlapped flavors, so the chunk-independent base replays one
-		// time, not once per chunk count. Deduped points reuse the same
-		// measurement — deterministic replays make that byte-identical
-		// to replaying each point independently.
-		nf := len(sc.Flavors)
-		type measureJob struct {
-			pt gridPoint
-			f  Flavor
-		}
-		jobOf := make([]int, len(grid)*nf)
-		maxJob := make([]int, len(grid))
-		var jobs []measureJob
-		var uses []int
-		seen := map[string]int{}
-		for p, pt := range grid {
-			maxJob[p] = -1
-			if cached[p] != nil {
-				continue
-			}
-			platJSON, err := pt.plat.CanonicalJSON()
-			if err != nil {
-				return nil, err
-			}
-			for k, f := range sc.Flavors {
-				ranks, chunks := pt.ranks, pt.chunks
-				if sc.Trace != nil {
-					ranks, chunks = 0, 0
-				} else if f == FlavorBase {
-					chunks = sc.Tracer.Chunks // mirrors progFor's normalization
-				}
-				key := fmt.Sprintf("%d|%d|%s|%s", ranks, chunks, f, platJSON)
-				j, ok := seen[key]
-				if !ok {
-					j = len(jobs)
-					seen[key] = j
-					jobs = append(jobs, measureJob{pt: pt, f: f})
-					uses = append(uses, 0)
-				}
-				jobOf[p*nf+k] = j
-				uses[j]++
-				if j > maxJob[p] {
-					maxJob[p] = j
-				}
-			}
-		}
-		// A measurement is retained only while some unemitted point still
-		// references it; jobsDone tracks the contiguous prefix of
-		// completed jobs, which (job indices being assigned in first-use
-		// order) is exactly what makes a point's measurements complete.
-		measures := map[int]FlavorMeasure{}
-		jobsDone := 0
-		em.build = func(p int) (ScenarioPoint, bool) {
-			if maxJob[p] >= jobsDone {
-				return ScenarioPoint{}, false
-			}
-			ms := make([]FlavorMeasure, nf)
-			for k := 0; k < nf; k++ {
-				j := jobOf[p*nf+k]
-				ms[k] = measures[j]
-				if uses[j]--; uses[j] == 0 {
-					delete(measures, j)
-				}
-			}
-			return ScenarioPoint{Coords: grid[p].coords, Digest: digests[p], Flavors: ms}, true
-		}
-		if err := em.advance(); err != nil { // cached prefix before any job
-			return nil, err
-		}
-		shards := sc.ReplayShards
-		if shards == 0 {
-			shards = pointShards(eng, len(jobs))
-		}
-		err = engine.MapStream(ctx, eng, len(jobs), 0, func(ctx context.Context, j int) (FlavorMeasure, error) {
-			pt, f := jobs[j].pt, jobs[j].f
-			t0 := time.Now()
-			prog, digest, err := x.progFor(pt.ranks, pt.chunks, f)
-			if err != nil {
-				return FlavorMeasure{}, err
-			}
-			mStageCompile.ObserveSince(t0)
-			t0 = time.Now()
-			sum, err := sim.ReplayShardsSummary(pt.plat, prog, shards)
-			if err != nil {
-				var dl *sim.DeadlockError
-				if errors.As(err, &dl) && dl.FaultInduced() {
-					// Injected hard faults severed ranks this flavor
-					// needed. In a what-breaks-first grid that is a result,
-					// not a failure: report the point as faulted instead of
-					// aborting the study. Genuine trace deadlocks (nothing
-					// dropped) stay hard errors below.
-					mStageReplay.ObserveSince(t0)
-					mPtsFaulted.Inc()
-					return FlavorMeasure{
-						Flavor:      f,
-						TraceDigest: digest,
-						Fault:       fmt.Sprintf("deadlock: %d ranks blocked, %d transfers lost to downed NICs/links", len(dl.Blocked), dl.Dropped),
-					}, nil
-				}
-				return FlavorMeasure{}, fmt.Errorf("core: scenario point %v %s: %w", pt.coords, f, err)
-			}
-			mStageReplay.ObserveSince(t0)
-			m := FlavorMeasure{Flavor: f, TraceDigest: digest, FinishSec: sum.FinishSec}
-			if sc.Output == OutputTraffic {
-				m.Traffic = &WireTraffic{
-					IntraBytes: sum.IntraBytes,
-					InterBytes: sum.InterBytes,
-					IntraMsgs:  sum.IntraMsgs,
-					InterMsgs:  sum.InterMsgs,
-				}
-			}
-			return m, nil
-		}, func(j int, m FlavorMeasure) error {
-			measures[j] = m
-			jobsDone = j + 1
-			return em.advance()
-		})
-		if err != nil {
+	case OutputFinish, OutputTraffic, OutputReport:
+		if err := streamMeasured(ctx, eng, x, em); err != nil {
 			return nil, err
 		}
 	case OutputWhatIf:
@@ -253,41 +137,16 @@ func RunScenarioStream(ctx context.Context, eng *engine.Engine, spec Scenario, y
 			if err != nil {
 				return ScenarioPoint{}, err
 			}
-			mStageCompile.ObserveSince(t0)
-			t0 = time.Now()
+			mStageTrace.ObserveSince(t0)
 			wi, err := WhatIfRun(ctx, eng, run, pt.plat)
 			if err != nil {
 				return ScenarioPoint{}, err
 			}
-			mStageReplay.ObserveSince(t0)
 			pd, err := pt.plat.Digest()
 			if err != nil {
 				return ScenarioPoint{}, err
 			}
 			return ScenarioPoint{WhatIf: wi.Wire(pt.ranks, pd)}, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	case OutputReport:
-		err = streamPerPoint(ctx, eng, em, func(ctx context.Context, pt gridPoint) (ScenarioPoint, error) {
-			t0 := time.Now()
-			run, err := x.runAt(pt)
-			if err != nil {
-				return ScenarioPoint{}, err
-			}
-			mStageCompile.ObserveSince(t0)
-			t0 = time.Now()
-			rep, err := AnalyzeRun(ctx, eng, run, pt.plat)
-			if err != nil {
-				return ScenarioPoint{}, err
-			}
-			mStageReplay.ObserveSince(t0)
-			wire, err := rep.Wire()
-			if err != nil {
-				return ScenarioPoint{}, err
-			}
-			return ScenarioPoint{Report: wire}, nil
 		})
 		if err != nil {
 			return nil, err
@@ -298,6 +157,233 @@ func RunScenarioStream(ctx context.Context, eng *engine.Engine, spec Scenario, y
 		return nil, err
 	}
 	return hdr, nil
+}
+
+// reportFlavors are the flavors of a report point, in wire order.
+var reportFlavors = []Flavor{FlavorBase, FlavorReal, FlavorIdeal}
+
+// measureJob is one deduplicated unit of work of a measured grid: one
+// flavor replayed on one platform, or, for a report point, the pattern
+// analysis of one (ranks, chunks) workload coordinate (flavor "").
+type measureJob struct {
+	pt gridPoint
+	f  Flavor
+}
+
+// measured is what a measureJob yields. Finish, traffic and report
+// points are all assembled from it.
+type measured struct {
+	digest string
+	sum    sim.Summary
+	// fault is set instead of sum when injected hard faults stalled the
+	// replay of a finish or traffic measurement.
+	fault string
+	// app and an are the pattern job's output.
+	app string
+	an  *pattern.Analysis
+}
+
+// streamMeasured runs a finish, traffic or report grid as one job per
+// distinct measurement and streams the assembled points.
+//
+// Distinct (program, platform) pairs replay once however many grid
+// points share them: a chunks axis varies only the overlapped flavors,
+// so the chunk-independent base replays one time, not once per chunk
+// count, and a report's patterns, which do not depend on the platform,
+// are analyzed once per (ranks, chunks). Deduped points reuse the same
+// measurement — deterministic replays make that byte-identical to
+// replaying each point independently.
+func streamMeasured(ctx context.Context, eng *engine.Engine, x *scenarioExec, em *streamEmitter) error {
+	sc, grid, cached := em.sc, em.grid, em.cached
+	report := sc.Output == OutputReport
+	flavors := sc.Flavors
+	nj := len(flavors) // jobs per point
+	if report {
+		flavors = reportFlavors
+		nj = len(flavors) + 1 // and the pattern job
+	}
+	jobOf := make([]int, len(grid)*nj)
+	maxJob := make([]int, len(grid))
+	platDigest := make([]string, len(grid)) // report points only
+	var jobs []measureJob
+	var uses []int
+	seen := map[string]int{}
+	use := func(p, k int, key string, job measureJob) {
+		j, ok := seen[key]
+		if !ok {
+			j = len(jobs)
+			seen[key] = j
+			jobs = append(jobs, job)
+			uses = append(uses, 0)
+		}
+		jobOf[p*nj+k] = j
+		uses[j]++
+		if j > maxJob[p] {
+			maxJob[p] = j
+		}
+	}
+	for p, pt := range grid {
+		maxJob[p] = -1
+		if cached[p] != nil {
+			continue
+		}
+		platJSON, err := pt.plat.CanonicalJSON()
+		if err != nil {
+			return err
+		}
+		for k, f := range flavors {
+			ranks, chunks := pt.ranks, pt.chunks
+			if sc.Trace != nil {
+				ranks, chunks = 0, 0
+			} else if f == FlavorBase {
+				chunks = sc.Tracer.Chunks // mirrors progFor's normalization
+			}
+			use(p, k, fmt.Sprintf("%d|%d|%s|%s", ranks, chunks, f, platJSON), measureJob{pt: pt, f: f})
+		}
+		if report {
+			if platDigest[p], err = pt.plat.Digest(); err != nil {
+				return err
+			}
+			use(p, len(flavors), fmt.Sprintf("%d|%d|patterns", pt.ranks, pt.chunks), measureJob{pt: pt})
+		}
+	}
+	// A measurement is retained only while some unemitted point still
+	// references it; jobsDone tracks the contiguous prefix of completed
+	// jobs, which (job indices being assigned in first-use order) is
+	// exactly what makes a point's measurements complete.
+	outs := map[int]measured{}
+	jobsDone := 0
+	ms := make([]measured, nj) // one point's measurements, reused by every build
+	em.build = func(p int) (ScenarioPoint, bool) {
+		if maxJob[p] >= jobsDone {
+			return ScenarioPoint{}, false
+		}
+		for k := range ms {
+			j := jobOf[p*nj+k]
+			ms[k] = outs[j]
+			if uses[j]--; uses[j] == 0 {
+				delete(outs, j)
+			}
+		}
+		pt := ScenarioPoint{Coords: grid[p].coords, Digest: em.digests[p]}
+		if report {
+			pt.Report = reportPoint(grid[p], platDigest[p], ms)
+			return pt, true
+		}
+		pt.Flavors = make([]FlavorMeasure, nj)
+		for k, m := range ms {
+			fm := FlavorMeasure{Flavor: flavors[k], TraceDigest: m.digest, FinishSec: m.sum.FinishSec, Fault: m.fault}
+			if sc.Output == OutputTraffic && m.fault == "" {
+				fm.Traffic = &WireTraffic{
+					IntraBytes: m.sum.IntraBytes,
+					InterBytes: m.sum.InterBytes,
+					IntraMsgs:  m.sum.IntraMsgs,
+					InterMsgs:  m.sum.InterMsgs,
+				}
+			}
+			pt.Flavors[k] = fm
+		}
+		return pt, true
+	}
+	if err := em.advance(); err != nil { // cached prefix before any job
+		return err
+	}
+	// Report replays run serially; finish and traffic grids may shard.
+	shards := 1
+	if !report {
+		if shards = sc.ReplayShards; shards == 0 {
+			shards = pointShards(eng, len(jobs))
+		}
+	}
+	return engine.MapStream(ctx, eng, len(jobs), 0, func(ctx context.Context, j int) (measured, error) {
+		pt, f := jobs[j].pt, jobs[j].f
+		if f == "" {
+			return x.patterns(pt)
+		}
+		m, err := x.measure(pt, f, shards)
+		if err != nil {
+			var dl *sim.DeadlockError
+			if !report && errors.As(err, &dl) && dl.FaultInduced() {
+				// Injected hard faults severed ranks this flavor needed.
+				// In a what-breaks-first grid that is a result, not a
+				// failure: report the point as faulted instead of
+				// aborting the study. Genuine trace deadlocks (nothing
+				// dropped) stay hard errors below, and so does any stall
+				// of a report, whose wire form has no fault field.
+				mPtsFaulted.Inc()
+				m.fault = fmt.Sprintf("deadlock: %d ranks blocked, %d transfers lost to downed NICs/links", len(dl.Blocked), dl.Dropped)
+				return m, nil
+			}
+			return measured{}, fmt.Errorf("core: scenario point %v %s: %w", pt.coords, f, err)
+		}
+		return m, nil
+	}, func(j int, m measured) error {
+		outs[j] = m
+		jobsDone = j + 1
+		return em.advance()
+	})
+}
+
+// measure replays one flavor of one grid point into a summary on a
+// pooled arena. In app mode the point's traced run resolves first, so
+// the trace stage times tracing and the compile stage times only the
+// flavor build, validation, digest and compile of progFor (memo hits
+// included in both). On a replay error the returned measurement still
+// carries the trace digest.
+func (x *scenarioExec) measure(pt gridPoint, f Flavor, shards int) (measured, error) {
+	if x.sc.Trace == nil {
+		t0 := time.Now()
+		if _, err := x.runFor(pt.ranks); err != nil {
+			return measured{}, err
+		}
+		mStageTrace.ObserveSince(t0)
+	}
+	t0 := time.Now()
+	prog, digest, err := x.progFor(pt.ranks, pt.chunks, f)
+	if err != nil {
+		return measured{}, err
+	}
+	mStageCompile.ObserveSince(t0)
+	t0 = time.Now()
+	sum, err := sim.ReplayShardsSummary(pt.plat, prog, shards)
+	mStageReplay.ObserveSince(t0)
+	return measured{digest: digest, sum: sum}, err
+}
+
+// patterns analyzes the production and consumption patterns of one grid
+// point's traced run.
+func (x *scenarioExec) patterns(pt gridPoint) (measured, error) {
+	t0 := time.Now()
+	run, err := x.runAt(pt)
+	if err != nil {
+		return measured{}, err
+	}
+	mStageTrace.ObserveSince(t0)
+	t0 = time.Now()
+	an := pattern.Analyze(run)
+	mStagePatterns.ObserveSince(t0)
+	return measured{app: run.Name, an: an}, nil
+}
+
+// reportPoint assembles a report point's wire form from its three flavor
+// measurements and its pattern analysis, in the shape Report.Wire gives
+// a full analysis of the same point.
+func reportPoint(pt gridPoint, platDigest string, ms []measured) *WireReport {
+	pat := ms[len(reportFlavors)]
+	w := &WireReport{
+		App:            pat.app,
+		Ranks:          pt.ranks,
+		PlatformDigest: platDigest,
+		Platform:       pt.plat.Describe(),
+		Flavors:        make([]WireFlavor, len(reportFlavors)),
+		SpeedupReal:    metrics.Speedup(ms[0].sum.FinishSec, ms[1].sum.FinishSec),
+		SpeedupIdeal:   metrics.Speedup(ms[0].sum.FinishSec, ms[2].sum.FinishSec),
+		Patterns:       wirePatterns(pat.an),
+	}
+	for k, f := range reportFlavors {
+		w.Flavors[k] = wireFlavor(f, ms[k].digest, ms[k].sum)
+	}
+	return w
 }
 
 // pointShards picks the intra-point shard request for a grid of njobs
@@ -321,9 +407,9 @@ func pointShards(eng *engine.Engine, njobs int) int {
 	return w / njobs
 }
 
-// streamPerPoint runs one engine job per uncached grid point (what-if
-// and report outputs have no cross-point sharing to dedupe) and streams
-// the assembled points through the emitter.
+// streamPerPoint runs one engine job per uncached grid point (the
+// what-if output has no cross-point sharing to dedupe) and streams the
+// assembled points through the emitter.
 func streamPerPoint(ctx context.Context, eng *engine.Engine, em *streamEmitter, fn func(ctx context.Context, pt gridPoint) (ScenarioPoint, error)) error {
 	var uncached []int
 	for p := range em.grid {

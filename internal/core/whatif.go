@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/metrics"
@@ -61,8 +62,11 @@ func WhatIfRun(ctx context.Context, eng *engine.Engine, run *tracer.Run, plat ne
 		return nil, err
 	}
 	// Every replay of the study retains only its makespan, so all of them
-	// run as compiled programs on pooled arenas.
+	// run as compiled programs on pooled arenas. Trace builds and compiles
+	// are timed as the scenario stream's compile stage, replays as its
+	// replay stage.
 	refs, err := engine.Map(ctx, eng, 2, func(ctx context.Context, i int) (float64, error) {
+		t0 := time.Now()
 		tr := run.BaseTrace()
 		if i == 1 {
 			tr = run.OverlapReal()
@@ -74,7 +78,11 @@ func WhatIfRun(ctx context.Context, eng *engine.Engine, run *tracer.Run, plat ne
 		if err != nil {
 			return 0, err
 		}
-		return sim.ReplayFinish(plat, prog)
+		mStageCompile.ObserveSince(t0)
+		t0 = time.Now()
+		fin, err := sim.ReplayFinish(plat, prog)
+		mStageReplay.ObserveSince(t0)
+		return fin, err
 	})
 	if err != nil {
 		return nil, err
@@ -88,6 +96,7 @@ func WhatIfRun(ctx context.Context, eng *engine.Engine, run *tracer.Run, plat ne
 	names := run.BufferNames()
 	rep.Buffers, err = engine.Map(ctx, eng, len(names), func(ctx context.Context, i int) (BufferPotential, error) {
 		name := names[i]
+		t0 := time.Now()
 		tr := run.OverlapSelective(map[string]bool{name: true})
 		if err := tr.Validate(); err != nil {
 			return BufferPotential{}, fmt.Errorf("core: selective trace for %q: %w", name, err)
@@ -96,7 +105,10 @@ func WhatIfRun(ctx context.Context, eng *engine.Engine, run *tracer.Run, plat ne
 		if err != nil {
 			return BufferPotential{}, fmt.Errorf("core: compiling selective %q: %w", name, err)
 		}
+		mStageCompile.ObserveSince(t0)
+		t0 = time.Now()
 		fin, err := sim.ReplayFinish(plat, prog)
+		mStageReplay.ObserveSince(t0)
 		if err != nil {
 			return BufferPotential{}, fmt.Errorf("core: replaying selective %q: %w", name, err)
 		}

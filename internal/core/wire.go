@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/pattern"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -92,26 +93,31 @@ func (r *Report) Wire() (*WireReport, error) {
 		SpeedupIdeal:   r.SpeedupIdeal,
 		Patterns:       wirePatterns(r.Patterns),
 	}
-	for _, f := range []Flavor{FlavorBase, FlavorReal, FlavorIdeal} {
-		tr, res := r.TraceOf(f), r.ResultOf(f)
-		td, err := trace.Digest(tr)
+	for _, f := range reportFlavors {
+		td, err := trace.Digest(r.TraceOf(f))
 		if err != nil {
 			return nil, fmt.Errorf("core: wire report %s trace: %w", f, err)
 		}
-		ib, eb, im, em := res.TrafficSplit()
-		w.Flavors = append(w.Flavors, WireFlavor{
-			Flavor:          f,
-			TraceDigest:     td,
-			FinishSec:       res.FinishSec,
-			TotalWaitSec:    res.TotalWaitSec(),
-			TotalComputeSec: res.TotalComputeSec(),
-			IntraBytes:      ib,
-			InterBytes:      eb,
-			IntraMsgs:       im,
-			InterMsgs:       em,
-		})
+		w.Flavors = append(w.Flavors, wireFlavor(f, td, r.ResultOf(f).Summary()))
 	}
 	return w, nil
+}
+
+// wireFlavor is the serving form of one flavor's replay summary. Report
+// points of a scenario and Report.Wire both build their flavors through
+// it, from a summary replay and from a full Result respectively.
+func wireFlavor(f Flavor, traceDigest string, s sim.Summary) WireFlavor {
+	return WireFlavor{
+		Flavor:          f,
+		TraceDigest:     traceDigest,
+		FinishSec:       s.FinishSec,
+		TotalWaitSec:    s.TotalWaitSec,
+		TotalComputeSec: s.TotalComputeSec,
+		IntraBytes:      s.IntraBytes,
+		InterBytes:      s.InterBytes,
+		IntraMsgs:       s.IntraMsgs,
+		InterMsgs:       s.InterMsgs,
+	}
 }
 
 // wirePct lifts a percentage to its nullable wire form: NaN (the

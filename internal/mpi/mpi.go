@@ -137,13 +137,29 @@ type inbox struct {
 	mu         sync.Mutex
 	unexpected map[matchKey][]message
 	pending    map[matchKey][]*pendingRecv
+	// free holds the payload copies of unexpected messages that a receive
+	// has already copied out, keyed by length, for the next Send to this
+	// inbox to reuse instead of allocating.
+	free map[int][][]float64
 }
 
 func newInbox() *inbox {
 	return &inbox{
 		unexpected: map[matchKey][]message{},
 		pending:    map[matchKey][]*pendingRecv{},
+		free:       map[int][][]float64{},
 	}
+}
+
+// payload returns a buffer of length n for an unexpected message, reusing
+// a recycled one when the inbox has it. The caller holds ib.mu.
+func (ib *inbox) payload(n int) []float64 {
+	if q := ib.free[n]; len(q) > 0 {
+		buf := q[len(q)-1]
+		ib.free[n] = q[:len(q)-1]
+		return buf
+	}
+	return make([]float64, n)
 }
 
 // Send delivers data to dst with the given tag. Delivery is buffered
@@ -173,7 +189,7 @@ func (p *Proc) Send(dst, tag int, data []float64) {
 		close(pr.done)
 		return
 	}
-	cp := make([]float64, len(data))
+	cp := ib.payload(len(data))
 	copy(cp, data)
 	ib.unexpected[k] = append(ib.unexpected[k], message{data: cp})
 	ib.mu.Unlock()
@@ -243,6 +259,7 @@ func (p *Proc) Irecv(buf []float64, src, tag int) *Request {
 				src, p.rank, tag, len(m.data), len(buf)))
 		}
 		copy(buf, m.data)
+		ib.free[len(m.data)] = append(ib.free[len(m.data)], m.data)
 		ib.mu.Unlock()
 		close(req.done)
 		return req

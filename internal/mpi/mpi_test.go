@@ -464,3 +464,74 @@ func TestCollTagDisjointFromAppTags(t *testing.T) {
 		}
 	}
 }
+
+// TestUnexpectedPayloadRecycling pins the inbox's payload free list:
+// two equal-length sends waiting unreceived keep distinct payload
+// copies, a receive returns its copy to the free list, and two later
+// sends that reuse the recycled buffers each deliver their own values.
+func TestUnexpectedPayloadRecycling(t *testing.T) {
+	// queued returns the payloads waiting from src, in order, after
+	// checking that they are count distinct buffers.
+	queued := func(ib *inbox, src, count int) []*float64 {
+		ib.mu.Lock()
+		defer ib.mu.Unlock()
+		q := ib.unexpected[matchKey{src: src, tag: 0}]
+		if len(q) != count {
+			t.Errorf("%d payloads queued from rank %d, want %d", len(q), src, count)
+			return nil
+		}
+		var out []*float64
+		for _, m := range q {
+			out = append(out, &m.data[0])
+		}
+		if count == 2 && out[0] == out[1] {
+			t.Errorf("two queued sends from rank %d share one payload buffer", src)
+		}
+		return out
+	}
+	recv := func(p *Proc, src int, want ...[2]float64) {
+		buf := make([]float64, 2)
+		for _, w := range want {
+			p.Recv(buf, src, 0)
+			if buf[0] != w[0] || buf[1] != w[1] {
+				t.Errorf("received %v from rank %d, want %v", buf, src, w)
+			}
+		}
+	}
+	err := Run(3, func(p *Proc) {
+		switch p.Rank() {
+		case 0:
+			p.Send(1, 0, []float64{1, 2})
+			p.Send(1, 0, []float64{3, 4})
+			p.SendScalar(1, 1, 0) // both payloads are queued
+		case 1:
+			ib := p.world.inboxes[1]
+			p.RecvScalar(0, 1)
+			first := queued(ib, 0, 2)
+			recv(p, 0, [2]float64{1, 2}, [2]float64{3, 4})
+			ib.mu.Lock()
+			if n := len(ib.free[2]); n != 2 {
+				t.Errorf("%d recycled length-2 payloads, want 2", n)
+			}
+			ib.mu.Unlock()
+
+			p.SendScalar(2, 2, 0) // let rank 2 send into the recycled buffers
+			p.RecvScalar(2, 3)
+			again := queued(ib, 2, 2)
+			for _, b := range again {
+				if len(first) == 2 && b != first[0] && b != first[1] {
+					t.Errorf("a send after recycling allocated instead of reusing a recycled payload")
+				}
+			}
+			recv(p, 2, [2]float64{5, 6}, [2]float64{7, 8})
+		case 2:
+			p.RecvScalar(1, 2)
+			p.Send(1, 0, []float64{5, 6})
+			p.Send(1, 0, []float64{7, 8})
+			p.SendScalar(1, 3, 0) // both payloads are queued
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

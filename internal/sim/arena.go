@@ -22,16 +22,11 @@ func ReplayFinish(p network.Platform, prog *Program) (float64, error) {
 }
 
 // ReplaySummary replays prog on p using a pooled arena and returns the
-// replay's scalar summary (makespan plus the traffic split). Safe for
-// concurrent use.
+// replay's scalar summary: makespan, wait and compute totals, and the
+// traffic split. The replay records no timeline (see the package
+// comment). Safe for concurrent use.
 func ReplaySummary(p network.Platform, prog *Program) (Summary, error) {
-	a := arenaPool.Get().(*ReplayArena)
-	defer arenaPool.Put(a)
-	res, err := a.RunProgram(p, prog)
-	if err != nil {
-		return Summary{}, err
-	}
-	return summarize(res), nil
+	return ReplayShardsSummary(p, prog, 1)
 }
 
 // ReplayShardsSummary is ReplaySummary with a shard request: the replay
@@ -40,9 +35,8 @@ func ReplaySummary(p network.Platform, prog *Program) (Summary, error) {
 func ReplayShardsSummary(p network.Platform, prog *Program, shards int) (Summary, error) {
 	a := arenaPool.Get().(*ReplayArena)
 	defer arenaPool.Put(a)
-	res, err := a.RunProgramShards(p, prog, shards)
-	if err != nil {
+	if err := a.run(p, prog, shards, false); err != nil {
 		return Summary{}, err
 	}
-	return summarize(res), nil
+	return a.summary(), nil
 }

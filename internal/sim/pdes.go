@@ -183,25 +183,18 @@ func EffectiveShards(p network.Platform, prog *Program, requested int) int {
 // shards == 0 picks an automatic count; any request the platform cannot
 // shard safely (see EffectiveShards) falls back to the serial replay.
 func (a *ReplayArena) RunProgramShards(p network.Platform, prog *Program, shards int) (*Result, error) {
-	if prog == nil {
-		return nil, errors.New("sim: nil program")
-	}
-	if err := p.Validate(); err != nil {
+	if err := a.run(p, prog, shards, true); err != nil {
 		return nil, err
 	}
-	n := EffectiveShards(p, prog, shards)
-	if n <= 1 {
-		return a.replay(p, prog)
-	}
-	return a.replayShards(p, prog, n)
+	return a.assemble(), nil
 }
 
 // replayShards is the sharded analogue of replay: same reset, same
 // events, same handlers — executed by n shard workers plus the
 // coordinator under the two conservative bounds.
-func (a *ReplayArena) replayShards(p network.Platform, prog *Program, n int) (*Result, error) {
+func (a *ReplayArena) replayShards(p network.Platform, prog *Program, n int) error {
 	if prog.numRanks > p.Processors {
-		return nil, errors.New("sim: trace has more ranks than the platform has processors")
+		return errors.New("sim: trace has more ranks than the platform has processors")
 	}
 	a.reset(p, prog)
 	pd := &a.pdes

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/trace"
 )
@@ -97,28 +96,6 @@ type streamKey struct {
 	dst, src, tag, chunk int32
 }
 
-func (k streamKey) less(o streamKey) bool {
-	if k.dst != o.dst {
-		return k.dst < o.dst
-	}
-	if k.src != o.src {
-		return k.src < o.src
-	}
-	if k.tag != o.tag {
-		return k.tag < o.tag
-	}
-	return k.chunk < o.chunk
-}
-
-// streamRef ties one send/recv instruction to its stream key. Compile
-// collects one per matching record, sorts the batch, and resolves stream
-// IDs group-by-group — replacing the per-record hash-map inserts of the
-// first compiler, whose hashing dominated compile time on large traces.
-type streamRef struct {
-	key  streamKey
-	r, i int32 // instruction location: p.code[r][i]
-}
-
 // Compile flattens tr into its replay program. It fails on a nil trace and
 // on structurally unusable records (peers out of range, rank streams
 // missing) — conditions trace.Validate would also reject but that the old
@@ -139,12 +116,17 @@ func Compile(tr *trace.Trace) (*Program, error) {
 		irecvs:    make([]int32, tr.NumRanks),
 		irecvOff:  make([]int32, tr.NumRanks),
 	}
-	var refs []streamRef
+	// Stream IDs are assigned on first sight in rank-major record order.
+	// They are tie-breaks in the replay's event order (eventBefore) and
+	// define the Result.Comms grouping, so this assignment order is part
+	// of the replay's observable contract.
+	streamIDs := make(map[streamKey]int32, tr.NumRanks)
+	handleIDs := make(map[int]int32)
 	for r := 0; r < tr.NumRanks; r++ {
 		recs := tr.Ranks[r].Records
 		code := make([]instr, len(recs))
 		p.records += len(recs)
-		handleIDs := make(map[int]int32)
+		clear(handleIDs)
 		for i := range recs {
 			rec := &recs[i]
 			in := instr{
@@ -165,19 +147,14 @@ func Compile(tr *trace.Trace) (*Program, error) {
 						tr.Name, r, i, rec.Kind, rec.Peer, tr.NumRanks)
 				}
 				in.arg = rec.Bytes
-				// Stream IDs resolve after the scan, from the sorted refs.
 				switch rec.Kind {
 				case trace.KindSend, trace.KindISend:
-					refs = append(refs, streamRef{
-						key: streamKey{dst: in.peer, src: int32(r), tag: in.tag, chunk: in.chunk},
-						r:   int32(r), i: int32(i),
-					})
+					in.stream = p.streamFor(streamIDs, streamKey{dst: in.peer, src: int32(r), tag: in.tag, chunk: in.chunk})
+					p.streams[in.stream].sends++
 					p.totalSends++
 				default: // KindRecv, KindIRecv
-					refs = append(refs, streamRef{
-						key: streamKey{dst: int32(r), src: in.peer, tag: in.tag, chunk: in.chunk},
-						r:   int32(r), i: int32(i),
-					})
+					in.stream = p.streamFor(streamIDs, streamKey{dst: int32(r), src: in.peer, tag: in.tag, chunk: in.chunk})
+					p.streams[in.stream].posts++
 					p.totalPosts++
 					if rec.Kind == trace.KindIRecv {
 						in.handle = handleForCompile(handleIDs, rec.Handle)
@@ -196,7 +173,6 @@ func Compile(tr *trace.Trace) (*Program, error) {
 		p.code[r] = code
 		p.handles[r] = int32(len(handleIDs))
 	}
-	p.resolveStreams(refs)
 	// Prefix offsets: every stream's match buffers and every rank's handle
 	// table become exact subslices of one arena backing array.
 	var sendOff, postOff int32
@@ -218,73 +194,16 @@ func Compile(tr *trace.Trace) (*Program, error) {
 	return p, nil
 }
 
-// resolveStreams assigns stream IDs from the collected refs by sorting
-// instead of hashing. Refs sort by key with the instruction location as
-// tie-break, so equal keys form runs whose first element is the key's
-// first appearance in rank-major record order; numbering runs by that
-// first appearance reproduces the ID order of the original map-based
-// resolver exactly — stream IDs are tie-breaks in the replay's event
-// order (eventBefore) and define the Result.Comms grouping, so the
-// assignment order is part of the replay's observable contract.
-func (p *Program) resolveStreams(refs []streamRef) {
-	sort.Slice(refs, func(a, b int) bool {
-		x, y := &refs[a], &refs[b]
-		if x.key != y.key {
-			return x.key.less(y.key)
-		}
-		if x.r != y.r {
-			return x.r < y.r
-		}
-		return x.i < y.i
-	})
-	// First pass over runs: one streamInfo per distinct key, IDs in
-	// key-sorted order for now.
-	type run struct {
-		start, end int32 // refs[start:end] share one key
-		id         int32
+// streamFor returns the ID of a message stream, assigning the next one
+// on first sight.
+func (p *Program) streamFor(ids map[streamKey]int32, k streamKey) int32 {
+	if id, ok := ids[k]; ok {
+		return id
 	}
-	var runs []run
-	for i := 0; i < len(refs); {
-		j := i + 1
-		for j < len(refs) && refs[j].key == refs[i].key {
-			j++
-		}
-		runs = append(runs, run{start: int32(i), end: int32(j)})
-		i = j
-	}
-	// Renumber runs by first appearance (the run's first ref is its
-	// earliest instruction, thanks to the location tie-break).
-	order := make([]int32, len(runs))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(a, b int) bool {
-		x, y := &refs[runs[order[a]].start], &refs[runs[order[b]].start]
-		if x.r != y.r {
-			return x.r < y.r
-		}
-		return x.i < y.i
-	})
-	p.streams = make([]streamInfo, len(runs))
-	for id, ri := range order {
-		runs[ri].id = int32(id)
-		k := refs[runs[ri].start].key
-		p.streams[id] = streamInfo{src: k.src, dst: k.dst}
-	}
-	// Stamp every instruction and count the per-stream sends/posts.
-	for _, rn := range runs {
-		si := &p.streams[rn.id]
-		for _, ref := range refs[rn.start:rn.end] {
-			in := &p.code[ref.r][ref.i]
-			in.stream = rn.id
-			switch in.op {
-			case trace.KindSend, trace.KindISend:
-				si.sends++
-			default:
-				si.posts++
-			}
-		}
-	}
+	id := int32(len(p.streams))
+	ids[k] = id
+	p.streams = append(p.streams, streamInfo{src: k.src, dst: k.dst})
+	return id
 }
 
 // handleForCompile returns the dense ID of a rank-local handle, assigning

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/faults"
 	"repro/internal/network"
 	"repro/internal/trace"
 )
@@ -84,9 +85,7 @@ func TestProgramReplayEquivalence(t *testing.T) {
 				t.Logf("platform %d: pooled replay: %v", pi, err)
 				return false
 			}
-			ib, eb, im, em := want.TrafficSplit()
-			if sum.FinishSec != want.FinishSec || sum.IntraBytes != ib || sum.InterBytes != eb ||
-				sum.IntraMsgs != im || sum.InterMsgs != em {
+			if sum != want.Summary() {
 				t.Logf("platform %d: summary diverges: %+v", pi, sum)
 				return false
 			}
@@ -98,38 +97,72 @@ func TestProgramReplayEquivalence(t *testing.T) {
 	}
 }
 
-// TestPooledReplayMatchesFreshArena: across a bandwidth sweep, the pooled
-// scalar replays (ReplayFinish, ReplaySummary) agree point for point with
-// a full-result replay on a fresh arena — makespan and traffic split.
+// TestPooledReplayMatchesFreshArena: the pooled summary replays
+// (ReplayFinish, ReplaySummary, ReplayShardsSummary), which record no
+// timeline, agree field for field with the Summary of a full Result
+// replayed on a fresh arena — makespan, wait and compute totals, and the
+// traffic split — across a bandwidth sweep on flat, hierarchical,
+// congested and fault-injected platforms, serial and on two shards.
 func TestPooledReplayMatchesFreshArena(t *testing.T) {
 	prog, err := Compile(allocRing(8, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := programTestPlatforms(8)[2]
-	for _, bw := range []float64{50, 100, 250, 1000} {
-		plat := base.WithInterBandwidth(bw)
-		want, err := NewArena().RunProgram(plat, prog)
-		if err != nil {
-			t.Fatal(err)
+	plats := programTestPlatforms(8)
+	faulted := pdesPlatform(8, 4).WithDegradations(faults.Spec{
+		DerateInter: 0.6, DerateIntra: 0.8, JitterFrac: 0.25,
+		Stragglers: 2, StragglerFactor: 3, Seed: 11,
+	})
+	cases := []struct {
+		name   string
+		plat   network.Platform
+		shards int
+		split  bool // the platform carries both intra- and inter-node traffic
+	}{
+		{"flat", plats[0], 1, false},
+		{"hierarchical", plats[2], 1, true},
+		{"congested", plats[3], 1, false}, // round-robin: every ring hop crosses nodes
+		{"faulted", faulted, 1, true},
+		{"2-shard", pdesPlatform(8, 4), 2, true},
+		{"2-shard-faulted", faulted, 2, true},
+	}
+	for _, c := range cases {
+		if c.shards > 1 {
+			if n := EffectiveShards(c.plat, prog, c.shards); n != c.shards {
+				t.Fatalf("%s: platform shards %d ways, want %d", c.name, n, c.shards)
+			}
 		}
-		fin, err := ReplayFinish(plat, prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum, err := ReplaySummary(plat, prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ib, eb, im, em := want.TrafficSplit()
-		if fin != want.FinishSec || sum.FinishSec != want.FinishSec {
-			t.Fatalf("bw %g: pooled finish %g / %g, fresh arena %g", bw, fin, sum.FinishSec, want.FinishSec)
-		}
-		if sum.IntraBytes != ib || sum.InterBytes != eb || sum.IntraMsgs != im || sum.InterMsgs != em {
-			t.Fatalf("bw %g: pooled traffic %+v, fresh arena intra %d/%d inter %d/%d", bw, sum, ib, im, eb, em)
-		}
-		if ib == 0 || eb == 0 {
-			t.Fatalf("bw %g: traffic split %d/%d does not exercise both link classes", bw, ib, eb)
+		for _, bw := range []float64{50, 100, 250, 1000} {
+			plat := c.plat.WithInterBandwidth(bw)
+			res, err := NewArena().RunProgram(plat, prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := res.Summary()
+			fin, err := ReplayFinish(plat, prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum, err := ReplaySummary(plat, prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sharded, err := ReplayShardsSummary(plat, prog, c.shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fin != want.FinishSec {
+				t.Fatalf("%s bw %g: pooled finish %g, fresh arena %g", c.name, bw, fin, want.FinishSec)
+			}
+			if sum != want || sharded != want {
+				t.Fatalf("%s bw %g: pooled summaries\n%+v\n%+v\nfresh arena\n%+v", c.name, bw, sum, sharded, want)
+			}
+			if want.TotalWaitSec != res.TotalWaitSec() || want.TotalComputeSec != res.TotalComputeSec() {
+				t.Fatalf("%s bw %g: Result.Summary totals diverge from the Result's", c.name, bw)
+			}
+			if c.split && (want.IntraBytes == 0 || want.InterBytes == 0) {
+				t.Fatalf("%s bw %g: traffic split %d/%d does not exercise both link classes", c.name, bw, want.IntraBytes, want.InterBytes)
+			}
 		}
 	}
 }

@@ -26,6 +26,15 @@
 // matching state is slice-backed, and the steady-state replay of a warm
 // arena performs no heap allocation.
 //
+// A replay produces one of two outputs. RunProgram returns a Result: the
+// per-rank accounting plus the full timeline — every state Interval and
+// every transfer's Comm — that the Paraver views and critical paths
+// read. ReplaySummary returns a Summary (ReplayFinish only its
+// makespan): the makespan, the wait and compute totals and the traffic
+// split, which is all the sweep, search and report paths keep. A summary replay never records the
+// timeline (the traffic split comes from per-rank counters instead of the
+// Comms), and its values equal Result.Summary of the same replay exactly.
+//
 // Events execute in a static total order — (time, event class, ids), see
 // eventBefore — with no insertion sequence numbers, so any scheduler that
 // respects the order reproduces the replay bit-for-bit. That is the
@@ -168,21 +177,33 @@ func (r *Result) TrafficSplit() (intraBytes, interBytes int64, intraMsgs, interM
 	return intraBytes, interBytes, intraMsgs, interMsgs
 }
 
-// Summary is the scalar digest of one replay — everything the sweep and
-// search paths retain, cheap to copy and safe to keep after the arena that
-// produced it is reused.
+// Summary is the scalar digest of one replay — everything the sweep,
+// search and report paths retain, cheap to copy and safe to keep after
+// the arena that produced it is reused.
 type Summary struct {
-	FinishSec  float64
-	IntraBytes int64
-	InterBytes int64
-	IntraMsgs  int
-	InterMsgs  int
+	FinishSec float64
+	// TotalWaitSec and TotalComputeSec sum the per-rank accounting in
+	// rank order, exactly as Result.TotalWaitSec and
+	// Result.TotalComputeSec do.
+	TotalWaitSec    float64
+	TotalComputeSec float64
+	IntraBytes      int64
+	InterBytes      int64
+	IntraMsgs       int
+	InterMsgs       int
 }
 
-// summarize reduces a result to its retained scalars.
-func summarize(res *Result) Summary {
-	ib, eb, im, em := res.TrafficSplit()
-	return Summary{FinishSec: res.FinishSec, IntraBytes: ib, InterBytes: eb, IntraMsgs: im, InterMsgs: em}
+// Summary reduces the result to its scalar digest. A summary replay
+// (ReplaySummary) computes the same values without recording the
+// timeline they are derived from here.
+func (r *Result) Summary() Summary {
+	ib, eb, im, em := r.TrafficSplit()
+	return Summary{
+		FinishSec:       r.FinishSec,
+		TotalWaitSec:    r.TotalWaitSec(),
+		TotalComputeSec: r.TotalComputeSec(),
+		IntraBytes:      ib, InterBytes: eb, IntraMsgs: im, InterMsgs: em,
+	}
 }
 
 // DeadlockError reports a replay that stalled before all ranks finished.
@@ -419,6 +440,12 @@ type rankState struct {
 	clock      float64
 	blockStart float64
 	stats      RankStats
+	// intraBytes and intraMsgs count the rank's sends that stayed inside
+	// its node — the summary's traffic split, kept here so a replay that
+	// records no Comms still knows it. Rank-owned, like stats, so shards
+	// never share them.
+	intraBytes int64
+	intraMsgs  int
 	// Outstanding IRecv handles, densely indexed by the program's
 	// per-rank handle IDs. hTime is the completion time (NaN while
 	// incomplete), hArr the completing pair's arrival time (what decides
@@ -479,7 +506,9 @@ type ReplayArena struct {
 	// Output accumulators. Intervals gather per rank — each rank's
 	// timeline is appended in strictly increasing start order — and merge
 	// by concatenation, which is exactly the (rank, start) order the old
-	// engine obtained from a final closure sort.
+	// engine obtained from a final closure sort. timeline is false for a
+	// summary replay, which writes neither intervals nor comms.
+	timeline  bool
 	rankIvs   [][]Interval
 	intervals []Interval
 	comms     []Comm
@@ -517,11 +546,26 @@ func NewArena() *ReplayArena { return &ReplayArena{} }
 
 // RunProgram replays a compiled program on platform p.
 func (a *ReplayArena) RunProgram(p network.Platform, prog *Program) (*Result, error) {
+	if err := a.run(p, prog, 1, true); err != nil {
+		return nil, err
+	}
+	return a.assemble(), nil
+}
+
+// run validates the request and replays prog on p, sharded when shards
+// resolves to more than one (see EffectiveShards). timeline selects
+// whether the replay records the intervals and comms a Result carries;
+// without them only the accounting a Summary reads is kept.
+func (a *ReplayArena) run(p network.Platform, prog *Program, shards int, timeline bool) error {
 	if prog == nil {
-		return nil, errors.New("sim: nil program")
+		return errors.New("sim: nil program")
 	}
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return err
+	}
+	a.timeline = timeline
+	if n := EffectiveShards(p, prog, shards); n > 1 {
+		return a.replayShards(p, prog, n)
 	}
 	return a.replay(p, prog)
 }
@@ -537,9 +581,9 @@ func RunProgram(p network.Platform, prog *Program) (*Result, error) {
 
 // replay resets the arena for (p, prog) and runs the event loop. The
 // platform must be validated by the caller.
-func (a *ReplayArena) replay(p network.Platform, prog *Program) (*Result, error) {
+func (a *ReplayArena) replay(p network.Platform, prog *Program) error {
 	if prog.numRanks > p.Processors {
-		return nil, fmt.Errorf("sim: trace has %d ranks but platform has %d processors", prog.numRanks, p.Processors)
+		return fmt.Errorf("sim: trace has %d ranks but platform has %d processors", prog.numRanks, p.Processors)
 	}
 	a.reset(p, prog)
 	for r := 0; r < prog.numRanks; r++ {
@@ -548,7 +592,7 @@ func (a *ReplayArena) replay(p network.Platform, prog *Program) (*Result, error)
 	for a.evq.len() > 0 {
 		e := a.evq.pop()
 		if e.t < a.now {
-			return nil, fmt.Errorf("sim: time ran backwards: %g < %g", e.t, a.now)
+			return fmt.Errorf("sim: time ran backwards: %g < %g", e.t, a.now)
 		}
 		a.now = e.t
 		a.dispatch(e, nil)
@@ -556,9 +600,10 @@ func (a *ReplayArena) replay(p network.Platform, prog *Program) (*Result, error)
 	return a.finishReplay()
 }
 
-// finishReplay validates that every rank ran to completion and assembles
-// the result — the common tail of the serial and sharded replay loops.
-func (a *ReplayArena) finishReplay() (*Result, error) {
+// finishReplay validates that every rank ran to completion and records
+// the replay's stats — the common tail of the serial and sharded replay
+// loops.
+func (a *ReplayArena) finishReplay() error {
 	var blocked []string
 	for r := range a.ranks {
 		if rs := &a.ranks[r]; !rs.done {
@@ -569,10 +614,10 @@ func (a *ReplayArena) finishReplay() (*Result, error) {
 		if a.fxDropped > 0 {
 			mFaultDropped.AddInt(a.fxDropped)
 		}
-		return nil, &DeadlockError{Trace: a.prog.name, Blocked: blocked, Dropped: a.fxDropped}
+		return &DeadlockError{Trace: a.prog.name, Blocked: blocked, Dropped: a.fxDropped}
 	}
 	a.harvestStats()
-	return a.assemble(), nil
+	return nil
 }
 
 // dispatch executes one popped event at its own timestamp. Handlers never
@@ -637,6 +682,27 @@ func (a *ReplayArena) assemble() *Result {
 	}
 	a.result.Intervals = a.intervals
 	return &a.result
+}
+
+// summary reduces the finished replay to its Summary straight from the
+// rank states, in rank order, so every field equals Result.Summary of a
+// timeline replay: the totals add up in the same order and each send's
+// bytes fall on the same side of the traffic split.
+func (a *ReplayArena) summary() Summary {
+	var s Summary
+	for r := range a.ranks {
+		rs := &a.ranks[r]
+		if rs.stats.FinishSec > s.FinishSec {
+			s.FinishSec = rs.stats.FinishSec
+		}
+		s.TotalWaitSec += rs.stats.WaitSec
+		s.TotalComputeSec += rs.stats.ComputeSec
+		s.IntraBytes += rs.intraBytes
+		s.IntraMsgs += rs.intraMsgs
+		s.InterBytes += rs.stats.BytesSent - rs.intraBytes
+		s.InterMsgs += rs.stats.MsgsSent - rs.intraMsgs
+	}
+	return s
 }
 
 // reset prepares the arena's state for one replay of prog on p. Every
@@ -712,12 +778,16 @@ func (a *ReplayArena) reset(p network.Platform, prog *Program) {
 		}
 	}
 
-	// Output accumulators. Comms are slot-addressed: send seq n of stream s
-	// owns slot streams[s].sendOff+n, assigned at compile time, so every
-	// write lands at a statically known index no matter which order — or on
-	// which shard — the sends execute. Slots need no clearing: a replay
-	// only assembles a Result after every rank finished, which implies
-	// every send executed and wrote its slot.
+	// Output accumulators, only for a timeline replay. Comms are
+	// slot-addressed: send seq n of stream s owns slot
+	// streams[s].sendOff+n, assigned at compile time, so every write lands
+	// at a statically known index no matter which order — or on which
+	// shard — the sends execute. Slots need no clearing: a replay only
+	// assembles a Result after every rank finished, which implies every
+	// send executed and wrote its slot.
+	if !a.timeline {
+		return
+	}
 	a.comms = grow(a.comms, prog.totalSends)
 	if cap(a.rankIvs) < prog.numRanks {
 		a.rankIvs = append(a.rankIvs[:cap(a.rankIvs)], make([][]Interval, prog.numRanks-cap(a.rankIvs))...)
@@ -879,7 +949,7 @@ func (a *ReplayArena) sched(rt *shard, t float64, kind uint8, x, y int32) {
 // Rank program execution
 
 func (a *ReplayArena) addInterval(rank int, start, end float64, st State) {
-	if end <= start {
+	if !a.timeline || end <= start {
 		return
 	}
 	a.rankIvs[rank] = append(a.rankIvs[rank], Interval{Rank: rank, Start: start, End: end, State: st})
@@ -1070,16 +1140,23 @@ func (a *ReplayArena) startSend(rs *rankState, rank int, in *instr, blocking boo
 	st.nSends++
 	rs.stats.MsgsSent++
 	rs.stats.BytesSent += in.arg
+	intra := a.nodeOf[rank] == a.nodeOf[in.peer]
+	if intra {
+		rs.intraMsgs++
+		rs.intraBytes += in.arg
+	}
 	// Send seq n of a stream owns the compile-time comm slot sendOff+n, so
 	// records land in their final position with no per-send allocation and
 	// no post-replay merge — and concurrent shards never contend for an
 	// append cursor.
 	commIdx := int(a.prog.streams[in.stream].sendOff) + seq
-	a.comms[commIdx] = Comm{
-		Src: rank, Dst: int(in.peer), Tag: int(in.tag), Chunk: int(in.chunk),
-		Bytes: in.arg, MsgID: in.msgID, SendT: rs.clock,
-		Intra:  a.nodeOf[rank] == a.nodeOf[in.peer],
-		StartT: math.NaN(), ArriveT: math.NaN(), MatchT: math.NaN(),
+	if a.timeline {
+		a.comms[commIdx] = Comm{
+			Src: rank, Dst: int(in.peer), Tag: int(in.tag), Chunk: int(in.chunk),
+			Bytes: in.arg, MsgID: in.msgID, SendT: rs.clock,
+			Intra:  intra,
+			StartT: math.NaN(), ArriveT: math.NaN(), MatchT: math.NaN(),
+		}
 	}
 	if !a.plat.Eager(in.arg) && seq >= len(st.posts) {
 		// Rendezvous: the matching receive is not posted yet.
@@ -1194,8 +1271,10 @@ func (a *ReplayArena) launch(streamID int32, seq int, bytes int64, t float64, co
 		}
 	}
 	arrive := start + flight
-	a.comms[commIdx].StartT = start
-	a.comms[commIdx].ArriveT = arrive
+	if a.timeline {
+		a.comms[commIdx].StartT = start
+		a.comms[commIdx].ArriveT = arrive
+	}
 	if !intra {
 		a.inFlight++
 	}
@@ -1257,7 +1336,9 @@ func (a *ReplayArena) completePair(streamID int32, seq int, rt *shard) {
 	if p.t > done {
 		done = p.t
 	}
-	a.comms[int(a.prog.streams[streamID].sendOff)+seq].MatchT = done
+	if a.timeline {
+		a.comms[int(a.prog.streams[streamID].sendOff)+seq].MatchT = done
+	}
 	dst := int(a.prog.streams[streamID].dst)
 	rs := &a.ranks[dst]
 	switch p.kind {
